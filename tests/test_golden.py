@@ -1,0 +1,40 @@
+"""Golden digests of whole `verify` reports.
+
+A change to how ideals or L-subrings are enumerated must not move any
+report: the same instances, in the same order, with the same verdicts.
+These digests pin the JSON and text renderings of three small exhaustive
+runs that between them cover a chain, a non-distributive lattice, a
+distributive non-chain lattice, a non-constant subring sweep and a ring
+that is not cyclic.
+"""
+
+import hashlib
+
+import pytest
+
+from lrings.verify import SuiteParams, render_json, render_text, run_suite
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+GOLDEN = [
+    (dict(rings=("Z4",), lattices=("chain3", "m3")),
+     "8b85eeac262c828f24dca23feb0685dd91c93a06139764ae4236b9736c79ec4b",
+     "360a147e5088a1e203eeb913c6fa3f59eefcae875150b3226b8f5c7b7d0ddd35"),
+    (dict(rings=("Z2xZ2",), lattices=("square",)),
+     "4c123b3bdaf4bef174ffd48eb13f8c86acd79e7ec7cef68ec1d8b78d21f0f531",
+     "7a923979b703c78f65318b841c73de2675d424cd437992f3c02dbe5635504932"),
+    (dict(rings=("Z4",), lattices=("chain3",), mu_mode="all"),
+     "db345c312b61df774aaae26855d2edaacc4bf77ebb28579d8c4ab829a8daad90",
+     "518ffa6adc802f1327497360c5891e24b954be5463ff81f7e1f8eca493b450fa"),
+]
+
+
+@pytest.mark.parametrize("kw,json_digest,text_digest", GOLDEN,
+                         ids=["Z4-chain3-m3", "Z2xZ2-square", "Z4-chain3-all"])
+def test_report_digests_unchanged(kw, json_digest, text_digest):
+    result = run_suite(SuiteParams(**kw))
+    assert sha256(render_json(result)) == json_digest
+    assert sha256(render_text(result)) == text_digest
