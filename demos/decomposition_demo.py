@@ -7,7 +7,7 @@ each decomposition back into a crisp one, and the crisp bridge recovers
 classical decompositions by a round trip through the lattice-valued world.
 """
 
-from lrings import (Subring, decompose, decompose_crisp_via_lift, is_reduced,
+from lrings import (Subring, decompose, decompose_crisp_via_lift,
                     lift_reducedness, make_lattice, make_ring,
                     project_level, reduce_factors)
 from lrings.fixtures import z6_chain2, z12_chain3
@@ -26,7 +26,7 @@ show(eta, "target  ")
 dec = decompose(eta)
 for f in dec.factors:
     show(f, "factor  ")
-print("reduced:", is_reduced(dec).reduced)
+print("reduced:", dec.report.reduced)
 print("projected at t:", [sorted(c) for c in project_level(dec, "t", False)])
 print("reducedness transfers from level t:", lift_reducedness(dec, "t"))
 
@@ -37,7 +37,7 @@ show(eta3, "target  ")
 dec3 = decompose(eta3)
 for f in dec3.factors:
     show(f, "factor  ")
-report = is_reduced(dec3)
+report = dec3.report
 print(report.describe())
 slim = reduce_factors(dec3)
 print(f"greedy reduction keeps {len(slim.factors)} factors; "

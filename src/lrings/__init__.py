@@ -11,16 +11,16 @@ from .lattice import FiniteLattice, LatticeError, make_lattice
 from .rings import (FiniteRing, RingError, Subring, make_ring,
                     restrict_decomposition)
 from .core import (LIdeal, LSubring, LSubset, ValidationError,
-                   equal_by_levels, has_sup_property, intersect_many,
-                   is_ideal_of, is_l_subring, level_cut, level_subring,
-                   strong_cut, strong_subring, sum_ideals, sum_subsets)
+                   intersect_many, is_ideal_of, is_l_subring, level_cut,
+                   level_subring, strong_cut, strong_subring, sum_ideals,
+                   sum_subsets)
 from .radical import (IdealFamily, IdealSurvey, enumerate_family,
                       ideal_survey, is_primary, is_prime, is_semiprime,
                       prime_cap, prime_radical, radical, semiprime_radical)
 from .decomp import (Decomposition, DecompositionError, NoCrispDecomposition,
                      ReducednessReport, decompose, decompose_crisp_via_lift,
-                     is_reduced, lift_crisp_primary, lift_reducedness,
-                     project_level, reduce_factors)
+                     lift_crisp_primary, lift_reducedness, project_level,
+                     reduce_factors)
 from . import fixtures, verify
 
 __all__ = [
@@ -29,15 +29,15 @@ __all__ = [
     "FiniteRing", "RingError", "Subring", "make_ring",
     "restrict_decomposition",
     "LIdeal", "LSubring", "LSubset", "ValidationError",
-    "equal_by_levels", "has_sup_property", "intersect_many", "is_ideal_of",
-    "is_l_subring", "level_cut", "level_subring", "strong_cut",
-    "strong_subring", "sum_ideals", "sum_subsets",
+    "intersect_many", "is_ideal_of", "is_l_subring", "level_cut",
+    "level_subring", "strong_cut", "strong_subring", "sum_ideals",
+    "sum_subsets",
     "IdealFamily", "IdealSurvey", "enumerate_family", "ideal_survey",
     "is_primary", "is_prime", "is_semiprime", "prime_cap", "prime_radical",
     "radical", "semiprime_radical",
     "Decomposition", "DecompositionError", "NoCrispDecomposition",
     "ReducednessReport", "decompose", "decompose_crisp_via_lift",
-    "is_reduced", "lift_crisp_primary", "lift_reducedness", "project_level",
+    "lift_crisp_primary", "lift_reducedness", "project_level",
     "reduce_factors",
     "fixtures", "verify",
 ]

@@ -20,7 +20,7 @@ from .core import (LIdeal, LSubring, LSubset, ValidationError, level_cut,
                    strong_cut, sum_ideals)
 from .radical import (is_primary, is_prime, is_semiprime, prime_radical,
                       radical, semiprime_radical, DEFAULT_CANDIDATE_CAP)
-from .decomp import DecompositionError, decompose, is_reduced
+from .decomp import DecompositionError, decompose
 from . import verify as verify_mod
 
 
@@ -133,7 +133,7 @@ def cmd_decompose(args) -> int:
     for i, f in enumerate(dec.factors):
         print(f"  {i}: {_print_subset(f)}")
     print("intersection equals the target: yes")
-    report = is_reduced(dec)
+    report = dec.report
     print(f"reduced: {'yes' if report.reduced else 'no'}"
           + ("" if report.reduced else f" ({report.describe()})"))
     if args.require_reduced and not report.reduced:

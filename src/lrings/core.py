@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, Sequence
 
-from .errors import ConsistencyError
+from .errors import CapExceeded, ConsistencyError
 from .lattice import FiniteLattice
 from .rings import FiniteRing, Subring
 
@@ -266,6 +266,72 @@ def strong_subring(mu: LSubring, a: str) -> Subring:
     return Subring(mu.ring, cut)
 
 
+def level_cut_search(ring: FiniteRing, lattice: FiniteLattice, allowed,
+                     cap: int) -> list[tuple[int, ...]]:
+    """Every L-subset whose non-empty level cuts are all allowed crisp sets,
+    as index tuples sorted by rank (the canonical mixed-radix order).
+
+    An L-subset is exactly a family of cuts with C_bottom = R and
+    C_(a v b) = C_a & C_b. The search walks the linear extension upward.
+    An element that is the join of two lower ones has its cut forced, and
+    the forced value must agree for every such pair. Any other element has
+    a single lower cover, and its cut ranges over the empty set and the
+    allowed sets inside the cover's cut.
+
+    `allowed(a)` lists the allowed sets (of ring labels) at lattice index
+    a; it is called once per element with a single lower cover. Forced
+    cuts are not looked up: the allowed sets must be closed under these
+    intersections, as crisp subrings are, and as the crisp ideals of the
+    level subrings of an L-subring are. More than `cap` cut assignments
+    tried raises CapExceeded."""
+    leq, join = lattice.leq_i, lattice.join_i
+    bot = lattice.index(lattice.bottom)
+    steps = []
+    for a in lattice.linext[1:]:
+        below = [d for d in lattice.linext if d != a and leq(d, a)]
+        pairs = [(b, c) for b, c in itertools.combinations(below, 2)
+                 if join(b, c) == a]
+        cover = bot
+        for d in below:
+            cover = join(cover, d)
+        steps.append((a, pairs, cover, () if pairs else allowed(a)))
+
+    empty = frozenset()
+    cuts = {bot: frozenset(ring.elements)}
+    found = []
+    tried = 0
+
+    def extend(k):
+        nonlocal tried
+        if k == len(steps):
+            ivals = [bot] * len(ring)
+            for a in lattice.linext:  # the last cut holding x is its value
+                for x in cuts[a]:
+                    ivals[ring.index(x)] = a
+            found.append(tuple(ivals))
+            return
+        a, pairs, cover, options = steps[k]
+        if pairs:
+            b, c = pairs[0]
+            tries = [cuts[b] & cuts[c]]
+        else:
+            tries = [empty] + [s for s in options if s <= cuts[cover]]
+        for cut in tries:
+            tried += 1
+            if tried > cap:
+                raise CapExceeded(f"level-cut search tried more than {cap} "
+                                  f"cut assignments", size=tried)
+            if any(cuts[b] & cuts[c] != cut for b, c in pairs[1:]):
+                continue
+            cuts[a] = cut
+            extend(k + 1)
+
+    extend(0)
+    rank = lattice._rank
+    found.sort(key=lambda v: tuple(rank[i] for i in v))
+    return found
+
+
 # ---------------------------------------------------------------------------
 # sums and intersections
 
@@ -343,26 +409,3 @@ def intersect_many(fs: Sequence[LSubset]):
                 raise ConsistencyError(
                     f"intersection of ideals failed to validate: {e}") from e
     return raw
-
-
-# ---------------------------------------------------------------------------
-# misc
-
-def has_sup_property(f: LSubset) -> bool:
-    """Every non-empty subset of the image contains its join. Trivially
-    true for the finite images representable here, but computed honestly so
-    theorem preconditions stay auditable."""
-    img = sorted(f.image())
-    for k in range(1, len(img) + 1):
-        for combo in itertools.combinations(img, k):
-            if f.lattice.big_join(combo) not in combo:
-                return False
-    return True
-
-
-def equal_by_levels(f: LSubset, g: LSubset) -> bool:
-    """Pointwise equality. (For f <= g with matching level cuts at every
-    value of g this is forced; the test suite checks that implication.)"""
-    if not f.same_carrier(g):
-        raise ValidationError("carriers differ")
-    return f.ivalues == g.ivalues

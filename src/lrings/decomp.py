@@ -122,10 +122,6 @@ class Decomposition:
                 f"factor(s)>")
 
 
-def is_reduced(dec: Decomposition) -> ReducednessReport:
-    return dec.report
-
-
 # ---------------------------------------------------------------------------
 # lifting crisp primaries
 

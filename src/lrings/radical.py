@@ -7,23 +7,23 @@ Quantifiers over positive integer powers are decided exactly: the power
 sequence of a ring element cycles within |R| steps, so "for some n" and
 "for all n" range over a finite, fully enumerated set of values.
 
-Family enumeration sweeps candidate subsets between the ideal and its
-subring in a fixed order (mixed-radix counting over per-element lattice
-intervals sorted by a fixed linear extension), guarded by a candidate cap.
-A per-subring survey of all its ideals is cached and reused, so repeated
-radical computations over one subring cost one sweep.
+Every ideal of a subring is found once, by the level-cut search in core
+(an L-subset is fixed by its level cuts, and by T1.7 it is an ideal exactly
+when each non-empty cut is a crisp ideal of the subring's level cut). The
+resulting survey lists the ideals in canonical order (mixed-radix order of
+their values along the lattice's fixed linear extension), is cached on the
+subring, and answers every family and radical query. The candidate cap
+bounds the cut assignments the search tries; a cached survey is never
+refused.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import prod
 
-from .errors import CapExceeded, ConsistencyError
+from .errors import ConsistencyError
 from .core import (LIdeal, LSubring, LSubset, ValidationError,
-                   intersect_many, level_cut, level_subring,
-                   satisfies_ideal_inequalities)
+                   intersect_many, level_cut, level_cut_search, level_subring)
 from .rings import Subring
 
 DEFAULT_CANDIDATE_CAP = 2_000_000
@@ -166,77 +166,22 @@ class IdealSurvey:
     primary: tuple[bool, ...]
 
 
-def _box_size(lat, lows, highs) -> int:
-    return prod(len(lat.interval_i(lo, hi)) for lo, hi in zip(lows, highs))
-
-
-def _sweep_ideals(mu: LSubring, lows) -> list[LIdeal]:
-    """All ideals of mu whose values sit inside the per-element intervals
-    [lows[x], mu(x)], in mixed-radix order over the linear extension."""
-    lat = mu.lattice
-    digits = [lat.interval_i(lo, hi) for lo, hi in zip(lows, mu.ivalues)]
-    found = []
-    for combo in itertools.product(*digits):
-        cand = LSubset._make(mu.ring, mu.lattice, combo)
-        if satisfies_ideal_inequalities(cand, mu):
-            found.append(LIdeal(mu, cand.values))
-    return found
-
-
-def _chain_all_ideals(mu: LSubring, cap: int) -> list[LIdeal]:
-    """All ideals of mu over a chain lattice, via nested level cuts: an
-    ideal is exactly a descending assignment of a crisp ideal (or nothing)
-    to each non-bottom level, nested upward. Equivalent to the box sweep
-    but polynomial in the crisp ideal counts; results are sorted into the
-    canonical mixed-radix order."""
-    lat, ring = mu.lattice, mu.ring
-    desc = [lat.elements[i] for i in reversed(lat.linext)]
-    levels = desc[:-1]  # the bottom cut is always the whole ring
-    per_level = []
-    for t in levels:
-        cut = level_cut(mu, t)
-        options = [frozenset()]
-        if cut:
-            options += Subring(ring, cut).ideals()
-        per_level.append(options)
-    size = prod(len(o) for o in per_level)
-    if size > cap:
-        raise CapExceeded(f"chain sweep has {size} cut assignments, "
-                          f"cap is {cap}", size=size)
-    bot_i = lat.index(lat.bottom)
-    found = []
-    for combo in itertools.product(*per_level):
-        if any(not combo[i] <= combo[i + 1] for i in range(len(combo) - 1)):
-            continue
-        ivals = [bot_i] * len(ring)
-        for t, members in zip(levels, combo):  # descending: highest wins
-            ti = lat.index(t)
-            for x in members:
-                xi = ring.index(x)
-                if ivals[xi] == bot_i:
-                    ivals[xi] = ti
-        found.append(LIdeal(mu, LSubset._make(ring, lat, tuple(ivals)).values))
-    rank = lat._rank
-    found.sort(key=lambda v: tuple(rank[i] for i in v.ivalues))
-    return found
-
-
 def ideal_survey(mu: LSubring, cap: int = DEFAULT_CANDIDATE_CAP) -> IdealSurvey:
-    """Enumerate and classify every ideal of mu once. Cached on the
-    subring object; concurrent callers may race to fill the cache, but the
-    value computed is identical either way."""
+    """Enumerate and classify every ideal of mu once, by a level-cut search
+    whose allowed cuts at a are the crisp ideals of mu's level subring at a
+    (T1.7). Building it may try at most `cap` cut assignments; once cached
+    on the subring it is returned whatever the cap. Concurrent callers may
+    race to fill the cache, but the value computed is identical either way."""
     if mu._survey is not None:
         return mu._survey
-    lat = mu.lattice
-    if lat.is_chain and len(lat) > 1:
-        ideals = tuple(_chain_all_ideals(mu, cap))
-    else:
-        bot = lat.index(lat.bottom)
-        size = _box_size(lat, (bot,) * len(mu.ring), mu.ivalues)
-        if size > cap:
-            raise CapExceeded(f"survey space has {size} candidates, "
-                              f"cap is {cap}", size=size)
-        ideals = tuple(_sweep_ideals(mu, (bot,) * len(mu.ring)))
+    ring, lat = mu.ring, mu.lattice
+
+    def crisp_ideals(a):
+        cut = level_cut(mu, lat.elements[a])
+        return Subring(ring, cut).ideals() if cut else []
+
+    ideals = tuple(LIdeal(mu, [lat.elements[i] for i in v])
+                   for v in level_cut_search(ring, lat, crisp_ideals, cap))
     survey = IdealSurvey(
         ideals=ideals,
         prime=tuple(is_prime(v) for v in ideals),
@@ -259,28 +204,14 @@ class IdealFamily:
 def enumerate_family(eta: LIdeal, kind: str,
                      cap: int = DEFAULT_CANDIDATE_CAP) -> IdealFamily:
     """All prime/semiprime ideals of the parent subring containing eta, in
-    canonical sweep order. The candidate space between eta and its subring
-    must fit under the cap; the exact space size is reported otherwise."""
+    canonical order: the parent's ideal survey filtered by kind and by
+    containment. `cap` bounds only the building of that survey."""
     if kind not in ("prime", "semiprime"):
         raise ValueError(f"kind must be 'prime' or 'semiprime', not {kind!r}")
-    mu = eta.parent
-    lat = mu.lattice
-    size = _box_size(lat, eta.ivalues, mu.ivalues)
-    if size > cap:
-        raise CapExceeded(
-            f"family space has {size} candidates, cap is {cap}", size=size)
-
-    bot = lat.index(lat.bottom)
-    full = _box_size(lat, (bot,) * len(mu.ring), mu.ivalues)
-    if (mu._survey is not None or full <= cap
-            or (lat.is_chain and len(lat) > 1)):
-        survey = ideal_survey(mu, cap=max(cap, full))
-        flags = survey.prime if kind == "prime" else survey.semiprime
-        members = tuple(v for v, ok in zip(survey.ideals, flags)
-                        if ok and v.contains(eta))
-    else:
-        pred = is_prime if kind == "prime" else is_semiprime
-        members = tuple(v for v in _sweep_ideals(mu, eta.ivalues) if pred(v))
+    survey = ideal_survey(eta.parent, cap=cap)
+    flags = survey.prime if kind == "prime" else survey.semiprime
+    members = tuple(v for v, ok in zip(survey.ideals, flags)
+                    if ok and v.contains(eta))
     return IdealFamily(members=members, kind=kind, lower=eta)
 
 

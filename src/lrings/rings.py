@@ -37,8 +37,10 @@ class FiniteRing:
         self._add = self._table(add, "add")
         self._mul = self._table(mul, "mul")
         self._validate()
-        # cached per-subring ideal lists, keyed by the member index set
+        # cached per-subring ideal and subring lists, keyed by the member
+        # index set
         self._ideal_cache: dict[frozenset, list] = {}
+        self._subring_cache: dict[frozenset, list] = {}
 
     def _table(self, rows, which):
         n = len(self.elements)
@@ -272,23 +274,34 @@ class Subring:
             raise RingError(f"{sorted(I)} is not an ideal of {self!r}")
         return idx
 
-    def ideals(self) -> list[frozenset]:
-        """All ideals, sorted by size then by the sorted member index lists.
-        Cached on the ring per member set."""
-        cached = self.ring._ideal_cache.get(self._members_i)
+    def _is_subring_i(self, S: frozenset) -> bool:
+        r = self.ring
+        return all(r._sub_i(i, j) in S and r.mul_i(i, j) in S
+                   for i in S for j in S)
+
+    def _sweep(self, cache: dict, pred) -> list[frozenset]:
+        """Subsets holding zero that satisfy pred, sorted by size then by
+        the sorted member index lists; cached per member set."""
+        cached = cache.get(self._members_i)
         if cached is None:
             zero = self.ring.zero_i
             rest = sorted(self._members_i - {zero})
-            found = []
-            for k in range(len(rest) + 1):
-                for combo in itertools.combinations(rest, k):
-                    cand = frozenset((zero,) + combo)
-                    if self._is_ideal_i(cand):
-                        found.append(cand)
-            found.sort(key=lambda I: (len(I), sorted(I)))
-            cached = found
-            self.ring._ideal_cache[self._members_i] = cached
+            cands = (frozenset((zero,) + combo) for k in range(len(rest) + 1)
+                     for combo in itertools.combinations(rest, k))
+            cached = sorted(filter(pred, cands),
+                            key=lambda I: (len(I), sorted(I)))
+            cache[self._members_i] = cached
         return [self._to_labels(I) for I in cached]
+
+    def ideals(self) -> list[frozenset]:
+        """All ideals, sorted by size then by the sorted member index lists.
+        Cached on the ring per member set."""
+        return self._sweep(self.ring._ideal_cache, self._is_ideal_i)
+
+    def subrings(self) -> list[frozenset]:
+        """All subrings of this subring, in the order of ideals(). Cached
+        on the ring per member set."""
+        return self._sweep(self.ring._subring_cache, self._is_subring_i)
 
     def is_prime_ideal(self, I: Iterable[str]) -> bool:
         """xy in I forces x in I or y in I; the whole subring is not prime."""

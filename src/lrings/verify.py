@@ -23,7 +23,7 @@ from .errors import CapExceeded, ConsistencyError
 from .lattice import make_lattice
 from .rings import DECOMPOSITION_IDEAL_CAP, RingError, Subring, make_ring
 from .core import (LIdeal, LSubring, LSubset, ValidationError,
-                   intersect_many, is_l_subring, level_cut, level_subring,
+                   intersect_many, level_cut, level_cut_search, level_subring,
                    level_cuts_all_ideals, satisfies_ideal_inequalities,
                    strong_cut, strong_subring, sum_ideals, sum_subsets)
 from .radical import (DEFAULT_CANDIDATE_CAP, enumerate_family, ideal_survey,
@@ -125,17 +125,11 @@ def _enumerate_mus(ring, lat, mu_mode: str, cap: int) -> list[LSubring]:
         return [LSubring.constant_top(ring, lat)]
     if mu_mode != "all":
         raise ValueError(f"mu_mode must be 'top' or 'all', not {mu_mode!r}")
-    space = len(lat) ** len(ring)
-    if space > cap:
-        raise CapExceeded(f"subring sweep has {space} candidates, cap {cap}",
-                          size=space)
-    out = []
-    digits = [list(lat.linext)] * len(ring)
-    for combo in itertools.product(*digits):
-        cand = LSubset._make(ring, lat, combo)
-        if is_l_subring(cand):
-            out.append(LSubring(ring, lat, cand.values))
-    return out
+    # an L-subset is an L-subring exactly when its non-empty level cuts
+    # are crisp subrings
+    subrings = Subring.whole(ring).subrings()
+    return [LSubring(ring, lat, [lat.elements[i] for i in v])
+            for v in level_cut_search(ring, lat, lambda a: subrings, cap)]
 
 
 def generate_instances(params: SuiteParams):

@@ -11,7 +11,7 @@ import pytest
 
 from lrings import (LSubring, NoCrispDecomposition, Subring,
                     decompose, decompose_crisp_via_lift, ideal_survey,
-                    intersect_many, is_primary, is_reduced, level_cut,
+                    intersect_many, is_primary, level_cut,
                     lift_reducedness, make_lattice, make_ring, prime_radical,
                     radical, strong_cut)
 from lrings.core import level_cuts_all_ideals, satisfies_ideal_inequalities
@@ -139,7 +139,7 @@ def test_criterion_4_decomposition_round_trip(z6_setup, z12_setup):
 
     dec_b = decompose(z6_setup.ideal("eta_zero"))
     assert len(dec_b.factors) == 2
-    assert is_reduced(dec_b).reduced
+    assert dec_b.report.reduced
 
     eta3 = z12_setup.ideal("eta_three_level")
     dec3 = decompose(eta3)
@@ -213,7 +213,7 @@ def test_criterion_7_reducedness_lifting():
                         continue
                     # raises ConsistencyError on any disagreement
                     if lift_reducedness(dec, t):
-                        assert is_reduced(dec).reduced
+                        assert dec.report.reduced
                         transfers += 1
     assert transfers > 0
     print(f"\n[criterion 7] PASS: {transfers} reduced level decompositions "

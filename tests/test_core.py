@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lrings import (FiniteLattice, FiniteRing, LIdeal,
-                    LSubring, LSubset, ValidationError, equal_by_levels,
-                    has_sup_property, intersect_many, is_ideal_of,
-                    is_l_subring, level_cut, strong_cut, strong_subring,
-                    sum_ideals, sum_subsets)
+                    LSubring, LSubset, ValidationError, intersect_many,
+                    is_ideal_of, is_l_subring, level_cut, strong_cut,
+                    strong_subring, sum_ideals, sum_subsets)
 from lrings.core import level_cuts_all_ideals, satisfies_ideal_inequalities
 
 
@@ -222,20 +221,7 @@ def test_level_cuts_commute_with_meets(z4_setup):
         assert level_cut(both, t) == (level_cut(a, t) & level_cut(b, t))
 
 
-# -- misc ---------------------------------------------------------------------------
-
-def test_sup_property_always_true_here(z4_setup, z6_setup):
-    for setup in (z4_setup, z6_setup):
-        assert has_sup_property(setup.mu)
-        for eta in setup.ideals.values():
-            assert has_sup_property(eta)
-
-
-def test_equal_by_levels_basics(z4_setup):
-    eta0, eta2 = z4_setup.ideal("eta_zero"), z4_setup.ideal("eta_even")
-    assert equal_by_levels(eta2, eta2)
-    assert not equal_by_levels(eta0, eta2)
-
+# -- level cuts determine the subset ----------------------------------------------
 
 def test_matching_cuts_force_equality_exhaustive():
     # f <= g with f_t = g_t at every value of g forces f = g
@@ -249,7 +235,7 @@ def test_matching_cuts_force_equality_exhaustive():
             continue
         if all(level_cut(f, t) == level_cut(g, t) for t in g.image()):
             checked += 1
-            assert equal_by_levels(f, g)
+            assert f.ivalues == g.ivalues
     assert checked >= len(all_subsets)  # at least the diagonal was exercised
 
 
@@ -263,7 +249,7 @@ def test_matching_cuts_force_equality_random(fv, gv):
     if not g.contains(f):
         return
     if all(level_cut(f, t) == level_cut(g, t) for t in g.image()):
-        assert equal_by_levels(f, g)
+        assert f.ivalues == g.ivalues
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,7 +6,7 @@ from lrings import (Decomposition, DecompositionError,
                     FiniteLattice, FiniteRing, LIdeal, LSubring,
                     Subring, ValidationError, decompose,
                     decompose_crisp_via_lift, ideal_survey, is_primary,
-                    is_reduced, level_cut, lift_crisp_primary,
+                    level_cut, lift_crisp_primary,
                     lift_reducedness, make_lattice, make_ring, project_level,
                     reduce_factors, strong_cut)
 
@@ -86,7 +86,7 @@ def test_decompose_three_levels(z12_setup):
     from lrings import intersect_many
     assert intersect_many(dec.factors).ivalues == eta.ivalues
     # the second lift is absorbed by the third: not reduced
-    report = is_reduced(dec)
+    report = dec.report
     assert not report.reduced
     assert report.redundant == (1,)
     assert report.collisions == ()
@@ -152,7 +152,7 @@ def test_decomposition_rejects_non_primary_factor(z6_setup):
 def test_reducedness_evidence_duplicate(z4_setup):
     eta2 = z4_setup.ideal("eta_even")
     dec = Decomposition(eta2, [eta2, eta2])
-    report = is_reduced(dec)
+    report = dec.report
     assert not report.reduced
     assert report.redundant == (0, 1)
     assert report.collisions == ((0, 1),)
@@ -161,7 +161,7 @@ def test_reducedness_evidence_duplicate(z4_setup):
 def test_reducedness_evidence_absorbed_factor(z4_setup):
     eta0, eta2 = z4_setup.ideal("eta_zero"), z4_setup.ideal("eta_even")
     dec = Decomposition(eta0, [eta0, eta2])
-    report = is_reduced(dec)
+    report = dec.report
     assert not report.reduced
     assert 1 in report.redundant
 

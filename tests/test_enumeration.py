@@ -1,0 +1,108 @@
+"""The level-cut search against brute-force box sweeps.
+
+The library finds every ideal of an L-subring, and every L-subring of a
+carrier, by a search over families of level cuts. The references here
+sweep the whole box of lattice-valued candidates in mixed-radix order and
+keep those that satisfy the pointwise inequalities. Both must list the
+same subsets in the same order.
+
+Lattices are drawn as the closed sets of a random closure system on a
+ground set of at most three points, ordered by inclusion; every finite
+lattice arises this way, so the draws go well beyond chains, m3 and square.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from lrings import FiniteLattice, LSubring, Subring, ideal_survey, make_ring
+from lrings.core import (LSubset, is_l_subring, level_cut_search,
+                         satisfies_ideal_inequalities)
+from lrings.errors import CapExceeded
+from lrings.radical import DEFAULT_CANDIDATE_CAP
+from lrings.verify import _enumerate_mus
+
+# additive group Z2 x Z2 with zero multiplication: no unity, and every
+# additive subgroup (the diagonal included) is an ideal
+_KLEIN = ["0", "a", "b", "c"]
+_KLEIN_ADD = {("a", "b"): "c", ("a", "c"): "b", ("b", "c"): "a"}
+ZERO_MUL_KLEIN = {
+    "elements": _KLEIN,
+    "add": [[x if y == "0" else y if x == "0" else "0" if x == y
+             else _KLEIN_ADD.get((x, y)) or _KLEIN_ADD[(y, x)]
+             for y in _KLEIN] for x in _KLEIN],
+    "mul": [["0"] * 4 for _ in _KLEIN],
+}
+RINGS = [make_ring(f"Z{n}") for n in range(1, 7)] + [
+    make_ring("Z2xZ2"), make_ring(ZERO_MUL_KLEIN)]
+
+MAX_BOX = 5000
+
+
+@st.composite
+def closure_lattices(draw):
+    n = draw(st.integers(1, 3))
+    subsets = [frozenset(c) for k in range(n + 1)
+               for c in itertools.combinations(range(n), k)]
+    keep = draw(st.lists(st.booleans(), min_size=len(subsets),
+                         max_size=len(subsets)))
+    closed = {frozenset(range(n))} | {s for s, k in zip(subsets, keep) if k}
+    while True:
+        more = {a & b for a in closed for b in closed} - closed
+        if not more:
+            break
+        closed |= more
+
+    def label(s):
+        return "s" + "".join(map(str, sorted(s)))
+
+    return FiniteLattice([label(s) for s in closed],
+                         [(label(a), label(b))
+                          for a in closed for b in closed if a <= b])
+
+
+def box_subrings(ring, lat):
+    """Every L-subring, by sweeping all |L|^|R| candidates."""
+    return [combo for combo in itertools.product(lat.linext, repeat=len(ring))
+            if is_l_subring(LSubset._make(ring, lat, combo))]
+
+
+def box_ideals(mu):
+    """Every ideal of mu, by sweeping the candidates below mu."""
+    lat = mu.lattice
+    bot = lat.index(lat.bottom)
+    digits = [lat.interval_i(bot, v) for v in mu.ivalues]
+    return [combo for combo in itertools.product(*digits)
+            if satisfies_ideal_inequalities(
+                LSubset._make(mu.ring, lat, combo), mu)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(closure_lattices(), st.sampled_from(RINGS), st.data())
+def test_level_cut_search_matches_box_sweeps(lat, ring, data):
+    assume(len(lat) ** len(ring) <= MAX_BOX)
+    subrings = box_subrings(ring, lat)
+    found = _enumerate_mus(ring, lat, "all", DEFAULT_CANDIDATE_CAP)
+    assert [mu.ivalues for mu in found] == subrings
+
+    if data.draw(st.booleans(), label="constant top"):
+        mu = LSubring.constant_top(ring, lat)
+    else:
+        values = data.draw(st.sampled_from(subrings), label="mu")
+        mu = LSubring(ring, lat, [lat.elements[i] for i in values])
+    assert [v.ivalues for v in ideal_survey(mu).ideals] == box_ideals(mu)
+
+
+def test_search_counts_every_cut_assignment_tried():
+    # Z6 has four subrings: 0, 3Z6, 2Z6 and Z6. Over chain3 the cut at m
+    # takes one of five values, and the cut at t then ranges over the empty
+    # set and the subrings inside it: 5 + (1 + 2 + 3 + 3 + 5) = 19 tries
+    ring = make_ring("Z6")
+    lat = FiniteLattice.chain(["b", "m", "t"])
+    subrings = Subring.whole(ring).subrings()
+    assert subrings == [{"0"}, {"0", "3"}, {"0", "2", "4"}, set(ring.elements)]
+    assert len(level_cut_search(ring, lat, lambda a: subrings, 19)) == 14
+    with pytest.raises(CapExceeded) as err:
+        level_cut_search(ring, lat, lambda a: subrings, 18)
+    assert err.value.size == 19

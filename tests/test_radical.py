@@ -1,9 +1,9 @@
 import pytest
 
 from lrings import (CapExceeded, FiniteLattice, FiniteRing, LIdeal, LSubring,
-                    ValidationError, enumerate_family, ideal_survey,
-                    is_primary, is_prime, is_semiprime, prime_cap,
-                    prime_radical, radical, semiprime_radical)
+                    ValidationError, enumerate_family, fixtures,
+                    ideal_survey, is_primary, is_prime, is_semiprime,
+                    prime_cap, prime_radical, radical, semiprime_radical)
 from lrings.radical import primary_by_inequalities, primary_by_level_cuts
 
 
@@ -113,33 +113,32 @@ def test_family_kind_validated(z4_setup):
         enumerate_family(z4_setup.ideal("eta_zero"), "maximal")
 
 
-def test_family_cap_reports_size(z4_setup):
-    # intervals give 1 * 2 * 2 * 2 = 8 candidates
-    with pytest.raises(CapExceeded) as err:
-        enumerate_family(z4_setup.ideal("eta_zero"), "prime", cap=7)
-    assert err.value.size == 8
+def test_family_cap_counts_cut_assignments():
+    # a fresh subring, so no survey is cached yet. Over Z4 and chain3 the
+    # level-cut search tries 4 cuts at m (the empty set and the ideals
+    # 0, 2Z4, Z4) and then, at t, the empty set plus each ideal inside the
+    # cut at m: 1 + 2 + 3 + 4 = 10. That is 14 cut assignments.
+    fx = fixtures.z4_chain3()
+    eta = fx.ideal("eta_zero")
+    for cap in (5, 13):
+        with pytest.raises(CapExceeded) as err:
+            enumerate_family(eta, "prime", cap=cap)
+        assert err.value.size == cap + 1
+        assert fx.mu._survey is None
+    fam = enumerate_family(eta, "prime", cap=14)
+    assert [m.ivalues for m in fam.members] == \
+        [fx.ideal("eta_even").ivalues]
+    assert len(ideal_survey(fx.mu, cap=0).ideals) == 10
 
 
-from hypothesis import given, settings, strategies as st
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.sampled_from(["b", "m", "t"]), min_size=4, max_size=4))
-def test_chain_fast_path_matches_box_sweep(vals):
-    # the nested-cut enumeration and the raw candidate sweep must list the
-    # same ideals in the same order, for constant and non-constant subrings
-    from lrings.core import LSubset, is_l_subring
-    from lrings.radical import _chain_all_ideals, _sweep_ideals
-    ring = FiniteRing.zn(4)
-    lat = FiniteLattice.chain(["b", "m", "t"])
-    cand = LSubset(ring, lat, vals)
-    if not is_l_subring(cand):
-        return
-    mu = LSubring(ring, lat, vals)
-    bot = lat.index(lat.bottom)
-    box = [v.ivalues for v in _sweep_ideals(mu, (bot,) * 4)]
-    fast = [v.ivalues for v in _chain_all_ideals(mu, 10 ** 6)]
-    assert box == fast
+def test_cached_survey_is_never_refused():
+    fx = fixtures.z4_chain3()
+    eta0, eta2 = fx.ideal("eta_zero"), fx.ideal("eta_even")
+    with pytest.raises(CapExceeded):
+        prime_radical(eta0, cap=1)
+    ideal_survey(fx.mu)
+    assert prime_radical(eta0, cap=1).ivalues == eta2.ivalues
+    assert semiprime_radical(eta0, cap=0).ivalues == eta2.ivalues
 
 
 def test_survey_canonical_order(z4_setup):

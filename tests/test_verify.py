@@ -57,6 +57,16 @@ def test_mu_mode_all_covers_nonconstant():
     assert len(mus) == 10  # chains of subrings of Z4, empty cuts included
 
 
+def test_cached_surveys_answer_every_prime_radical():
+    # the 56 ideals of Z16 over chain4 come from a cheap level-cut search;
+    # each prime radical is then read from that survey, whatever the size
+    # of the lattice-valued box between an ideal and mu
+    result = run_suite(params(rings=("Z16",), lattices=("chain4",)),
+                       ids=["T2.4"])
+    (rep,) = result.reports
+    assert (rep.checked, rep.passed, rep.skipped) == (56, 56, 0)
+
+
 # -- single checks ---------------------------------------------------------------
 
 def test_check_theorem_pass(z4_setup):
