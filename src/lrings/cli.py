@@ -3,8 +3,8 @@
 Subcommands: validate, compute, decompose, verify. Instance files are
 JSON documents with "lattice", "ring" and "subsets" keys; see the README
 for the schema. Exit codes: 0 success / all checks passed, 1 validation
-or usage error, 2 computation unavailable (cap or hypothesis), 3 theorem
-failures found.
+or usage error, 2 computation unavailable (cap or hypothesis; for verify,
+any check skipped for a cap), 3 theorem failures found.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def cmd_verify(args) -> int:
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(verify_mod.render_json(result))
-    return 0 if result.ok else 3
+    return 3 if not result.ok else 2 if result.cap_skipped else 0
 
 
 # ---------------------------------------------------------------------------

@@ -72,9 +72,6 @@ class LSubset:
         els = self.lattice.elements
         return tuple(els[i] for i in self.ivalues)
 
-    def as_mapping(self) -> dict[str, str]:
-        return dict(zip(self.ring.elements, self.values))
-
     def image(self) -> frozenset[str]:
         els = self.lattice.elements
         return frozenset(els[i] for i in set(self.ivalues))
@@ -220,10 +217,6 @@ class LIdeal(LSubset):
                 raise ValidationError(
                     f"not contained in the subring: exceeds it at {bad!r}")
             raise ValidationError("not an ideal of the given L-subring")
-
-    @classmethod
-    def from_subset(cls, parent: LSubring, f: LSubset) -> "LIdeal":
-        return cls(parent, f.values)
 
     def zero_value(self) -> str:
         return self.lattice.elements[self.ivalues[self.ring.zero_i]]

@@ -2,10 +2,12 @@
 
 Rings are given by full addition/multiplication tables over string labels
 and need not have a unity. Everything is validated exhaustively at
-construction. The Subring class carries the brute-force oracle layer:
-ideal enumeration, prime/primary tests, radicals, and minimal primary
+construction. The Subring class carries the crisp oracle layer: ideal and
+subring enumeration, prime/primary tests, radicals, and minimal primary
 decompositions, all decided exactly (power searches stop when the power
-sequence cycles, which it must in a finite ring).
+sequence cycles, which it must in a finite ring). Ideals and subrings are
+generated as closures of generators, so their cost grows with the number
+found rather than with the 2^n subsets of the carrier.
 """
 
 from __future__ import annotations
@@ -130,9 +132,6 @@ class FiniteRing:
 
     def neg(self, x: str) -> str:
         return self.elements[self._neg[self.index(x)]]
-
-    def sub(self, x: str, y: str) -> str:
-        return self.elements[self._sub_i(self.index(x), self.index(y))]
 
     # index-level mirrors
     def add_i(self, i, j):
@@ -279,29 +278,53 @@ class Subring:
         return all(r._sub_i(i, j) in S and r.mul_i(i, j) in S
                    for i in S for j in S)
 
-    def _sweep(self, cache: dict, pred) -> list[frozenset]:
-        """Subsets holding zero that satisfy pred, sorted by size then by
-        the sorted member index lists; cached per member set."""
+    def _close(self, base: frozenset, x: int, ideal: bool) -> frozenset:
+        """Smallest ideal (subring) holding x and the ideal (subring) base;
+        closing under b - a suffices, since a - b = 0 - (b - a)."""
+        r = self.ring
+        out, todo = set(base) | {x}, [x]
+        while todo:
+            a = todo.pop()
+            new = {r._add[r._neg[a]][b] for b in out} | {
+                r._mul[a][s] for s in (self._members_i if ideal else out)}
+            todo.extend(new - out)
+            out |= new
+        return frozenset(out)
+
+    def _closures(self, cache: dict, ideal: bool) -> list[frozenset]:
+        """Every ideal (subring): close {0}, then each set found with one
+        member of each coset outside it, so work grows with the number
+        found, not with 2^n. Re-checked by the definition, sorted by size
+        then sorted member index lists, cached per member set."""
         cached = cache.get(self._members_i)
         if cached is None:
-            zero = self.ring.zero_i
-            rest = sorted(self._members_i - {zero})
-            cands = (frozenset((zero,) + combo) for k in range(len(rest) + 1)
-                     for combo in itertools.combinations(rest, k))
-            cached = sorted(filter(pred, cands),
-                            key=lambda I: (len(I), sorted(I)))
+            r = self.ring
+            found, todo = set(), [self._close(frozenset(), r.zero_i, ideal)]
+            while todo:
+                I = todo.pop()
+                if I not in found:
+                    found.add(I)
+                    rest = set(self._members_i - I)
+                    while rest:  # all of x + I give the same closure
+                        x = rest.pop()
+                        rest -= {r.add_i(x, i) for i in I}
+                        todo.append(self._close(I, x, ideal))
+            pred = self._is_ideal_i if ideal else self._is_subring_i
+            if not all(map(pred, found)):
+                raise ConsistencyError("a closure fails the definition")
+            cached = sorted(found, key=lambda I: (len(I), sorted(I)))
             cache[self._members_i] = cached
         return [self._to_labels(I) for I in cached]
 
     def ideals(self) -> list[frozenset]:
         """All ideals, sorted by size then by the sorted member index lists.
         Cached on the ring per member set."""
-        return self._sweep(self.ring._ideal_cache, self._is_ideal_i)
+        return self._closures(self.ring._ideal_cache, ideal=True)
 
     def subrings(self) -> list[frozenset]:
         """All subrings of this subring, in the order of ideals(). Cached
         on the ring per member set."""
-        return self._sweep(self.ring._subring_cache, self._is_subring_i)
+        return self._closures(self.ring._subring_cache, ideal=False)
 
     def is_prime_ideal(self, I: Iterable[str]) -> bool:
         """xy in I forces x in I or y in I; the whole subring is not prime."""

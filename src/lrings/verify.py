@@ -33,6 +33,8 @@ from .radical import (DEFAULT_CANDIDATE_CAP, enumerate_family, ideal_survey,
 from .decomp import (DecompositionError, NoCrispDecomposition, decompose,
                      lift_reducedness, project_level)
 
+CAP_SKIP = "cap exceeded: "  # detail prefix of a check skipped for a cap
+
 
 class SkipCheck(Exception):
     """Raised inside a checker when the instance turns out not to satisfy
@@ -105,6 +107,11 @@ class SuiteResult:
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.reports)
+
+    @property
+    def cap_skipped(self) -> int:
+        return sum(r.status == "SKIP" and r.detail.startswith(CAP_SKIP)
+                   for r in self.records)
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +744,7 @@ def _run_check(spec: TheoremSpec, inst: Instance, ctx: _Ctx,
     except SkipCheck as e:
         return CheckRecord(spec.ident, inst.label, "SKIP", str(e))
     except CapExceeded as e:
-        return CheckRecord(spec.ident, inst.label, "SKIP", f"cap exceeded: {e}")
+        return CheckRecord(spec.ident, inst.label, "SKIP", f"{CAP_SKIP}{e}")
     except (ConsistencyError, ValidationError, DecompositionError,
             RingError) as e:
         return CheckRecord(spec.ident, inst.label, "FAIL",
@@ -804,7 +811,10 @@ def render_text(result: SuiteResult) -> str:
             lines.append(f"        skip ({rep.skip_reasons[reason]}x): {reason}")
         for label, detail in rep.failures:
             lines.append(f"        FAIL {label}: {detail}")
-    verdict = "all checks passed" if result.ok else "FAILURES FOUND"
+    verdict = ("FAILURES FOUND" if not result.ok else
+               f"computation unavailable ({result.cap_skipped} checks "
+               "skipped for a cap)" if result.cap_skipped else
+               "all checks passed")
     lines.append(f"result: {verdict}")
     return "\n".join(lines) + "\n"
 

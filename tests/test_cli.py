@@ -173,6 +173,19 @@ def test_verify_cap_exceeded(capsys):
     assert "cap" in err
 
 
+def test_verify_cap_skip_is_not_a_pass(tmp_path, capsys):
+    # the only T1.7 instance has a 4^16 box, far over the default cap
+    report = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "--rings", "Z16", "--lattices",
+                       "chain4", "--theorems", "T1.7", "--report", str(report))
+    assert code == 2
+    assert "all checks passed" not in out
+    assert out.endswith("result: computation unavailable "
+                        "(1 checks skipped for a cap)\n")
+    [rec] = json.loads(report.read_text())["records"]
+    assert rec["status"] == "SKIP" and rec["detail"].startswith("cap exceeded:")
+
+
 def test_verify_report_is_json(tmp_path, capsys):
     report = tmp_path / "report.json"
     code, _, _ = run(capsys, "verify", "--rings", "Z4", "--lattices",

@@ -1,10 +1,14 @@
-"""The level-cut search against brute-force box sweeps.
+"""The library's enumerations against brute-force sweeps.
 
 The library finds every ideal of an L-subring, and every L-subring of a
 carrier, by a search over families of level cuts. The references here
 sweep the whole box of lattice-valued candidates in mixed-radix order and
 keep those that satisfy the pointwise inequalities. Both must list the
 same subsets in the same order.
+
+The crisp ideals and subrings behind that search are generated as
+closures of generators; the reference for them is the sweep over every
+subset that holds zero.
 
 Lattices are drawn as the closed sets of a random closure system on a
 ground set of at most three points, ordered by inclusion; every finite
@@ -16,7 +20,8 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lrings import FiniteLattice, LSubring, Subring, ideal_survey, make_ring
+from lrings import (FiniteLattice, LSubring, Subring, ideal_survey,
+                    make_lattice, make_ring)
 from lrings.core import (LSubset, is_l_subring, level_cut_search,
                          satisfies_ideal_inequalities)
 from lrings.errors import CapExceeded
@@ -106,3 +111,50 @@ def test_search_counts_every_cut_assignment_tried():
     with pytest.raises(CapExceeded) as err:
         level_cut_search(ring, lat, lambda a: subrings, 18)
     assert err.value.size == 19
+
+
+# -- crisp ideals and subrings -------------------------------------------------
+
+def subset_sweep(sub, pred):
+    """Every subset of the subring's members that holds zero and satisfies
+    pred, sorted by size then by the sorted member index lists."""
+    zero = sub.ring.zero_i
+    rest = sorted(sub._members_i - {zero})
+    cands = (frozenset((zero,) + combo) for k in range(len(rest) + 1)
+             for combo in itertools.combinations(rest, k))
+    return [sub._to_labels(I) for I in
+            sorted(filter(pred, cands), key=lambda I: (len(I), sorted(I)))]
+
+
+CRISP_RINGS = [f"Z{n}" for n in range(1, 13)] + [
+    "Z2xZ2", "Z2xZ4", "Z2xZ2xZ2", "Z3xZ3", ZERO_MUL_KLEIN]
+
+
+@pytest.mark.parametrize("spec", CRISP_RINGS,
+                         ids=lambda s: s if isinstance(s, str) else "klein0")
+def test_closures_match_subset_sweep(spec):
+    ring = make_ring(spec)
+    whole = Subring.whole(ring)
+    subrings = whole.subrings()
+    assert subrings == subset_sweep(whole, whole._is_subring_i)
+    for members in subrings:
+        sub = Subring(ring, members)
+        assert sub.ideals() == subset_sweep(sub, sub._is_ideal_i)
+        assert sub.subrings() == subset_sweep(sub, sub._is_subring_i)
+
+
+@pytest.mark.parametrize("n", [24, 30, 36])
+def test_zn_ideals_and_subrings_are_the_multiples_of_divisors(n):
+    # both are dZ/n, one per divisor d of n; a 2^(n-1) sweep is out of reach
+    whole = Subring.whole(make_ring(f"Z{n}"))
+    expected = {frozenset(str(k) for k in range(0, n, d))
+                for d in range(1, n + 1) if n % d == 0}
+    for found in (whole.ideals(), whole.subrings()):
+        assert len(found) == len(expected) and set(found) == expected
+
+
+def test_all_l_subrings_of_z24_over_chain2():
+    # the cut at the top is empty or one of Z24's eight subrings
+    mus = _enumerate_mus(make_ring("Z24"), make_lattice("chain2"), "all",
+                         DEFAULT_CANDIDATE_CAP)
+    assert len(mus) == 9

@@ -1,6 +1,7 @@
 import pytest
 
-from lrings.verify import (Instance, SuiteParams, THEOREM_IDS, check_theorem,
+from lrings.verify import (CheckRecord, Instance, SuiteParams, SuiteResult,
+                           THEOREM_IDS, TheoremReport, check_theorem,
                            generate_instances, render_json, render_text,
                            run_suite)
 
@@ -183,3 +184,21 @@ def test_render_text_shape():
     text = render_text(run_suite(params(), ids=["T2.4"]))
     assert "T2.4" in text
     assert "result: all checks passed" in text
+
+
+def test_render_text_verdict_reads_the_skip_kinds():
+    cap = CheckRecord("T2.4", "a", "SKIP", "cap exceeded: 9 candidates")
+    hyp = CheckRecord("T2.4", "b", "SKIP", "hypothesis: lattice is not a chain")
+    fail = CheckRecord("T2.4", "c", "FAIL", "boom")
+
+    def verdict(*records):
+        rep = TheoremReport("T2.4", "clause", checked=len(records),
+                            failed=sum(r.status == "FAIL" for r in records))
+        text = render_text(SuiteResult(params(), [rep], list(records)))
+        return text.splitlines()[-1]
+
+    # a hypothesis skip, even with no PASS at all, is not an unavailable run
+    assert verdict(hyp) == "result: all checks passed"
+    assert verdict(cap, hyp) == ("result: computation unavailable "
+                                 "(1 checks skipped for a cap)")
+    assert verdict(cap, fail) == "result: FAILURES FOUND"
