@@ -4,7 +4,8 @@ Subcommands: validate, compute, decompose, verify. Instance files are
 JSON documents with "lattice", "ring" and "subsets" keys; see the README
 for the schema. Exit codes: 0 success / all checks passed, 1 validation
 or usage error, 2 computation unavailable (cap or hypothesis; for verify,
-any check skipped for a cap), 3 theorem failures found.
+any check skipped for a cap, or no check run at all), 3 theorem failures
+found.
 """
 
 from __future__ import annotations
@@ -142,13 +143,21 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+def _name_list(flag, text) -> tuple[str, ...]:
+    items = tuple(t.strip() for t in text.split(",") if t.strip())
+    if not items:
+        raise _UsageError(f"{flag} names nothing")
+    return items
+
+
 def cmd_verify(args) -> int:
-    ids = None
-    if args.theorems:
-        ids = [t.strip() for t in args.theorems.split(",") if t.strip()]
+    if args.sample is not None and args.sample < 0:
+        raise _UsageError(f"--sample must not be negative, got {args.sample}")
+    ids = (None if args.theorems is None
+           else _name_list("--theorems", args.theorems))
     params = verify_mod.SuiteParams(
-        rings=tuple(r.strip() for r in args.rings.split(",") if r.strip()),
-        lattices=tuple(l.strip() for l in args.lattices.split(",") if l.strip()),
+        rings=_name_list("--rings", args.rings),
+        lattices=_name_list("--lattices", args.lattices),
         mu_mode=args.mu,
         sample=None if args.exhaustive else args.sample,
         seed=args.seed,
@@ -163,7 +172,8 @@ def cmd_verify(args) -> int:
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(verify_mod.render_json(result))
-    return 3 if not result.ok else 2 if result.cap_skipped else 0
+    return (3 if not result.ok else
+            2 if result.cap_skipped or not result.records else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ subtraction and multiplication; LIdeal wraps an ideal of such a subring.
 Ideal validation is eager and runs two independent characterizations (the
 pointwise inequalities and the everywhere-level-cut criterion); any
 disagreement raises ConsistencyError because it would mean either the code
-or a theorem is wrong.
+or a theorem is wrong. The level criterion reads a per-subring table of the
+crisp ideals of each level subring, built once per level on first use.
 
 All values are immutable; every operation is pure.
 """
@@ -30,7 +31,7 @@ class ValidationError(ValueError):
 class LSubset:
     """Total map ring elements -> lattice elements, stored by index."""
 
-    __slots__ = ("ring", "lattice", "ivalues", "_survey")
+    __slots__ = ("ring", "lattice", "ivalues", "_survey", "_level_ideals")
 
     def __init__(self, ring: FiniteRing, lattice: FiniteLattice, values):
         self.ring = ring
@@ -49,7 +50,7 @@ class LSubset:
                 raise ValidationError(
                     f"expected {len(ring.elements)} values, got {len(seq)}")
         self.ivalues = tuple(lattice.index(v) for v in seq)
-        self._survey = None
+        self._survey = self._level_ideals = None
 
     @classmethod
     def _make(cls, ring, lattice, ivalues: tuple[int, ...]) -> "LSubset":
@@ -57,7 +58,7 @@ class LSubset:
         obj.ring = ring
         obj.lattice = lattice
         obj.ivalues = tuple(ivalues)
-        obj._survey = None
+        obj._survey = obj._level_ideals = None
         return obj
 
     @classmethod
@@ -147,6 +148,21 @@ def satisfies_ideal_inequalities(nu: LSubset, mu: "LSubring") -> bool:
     return True
 
 
+def _level_ideals(mu: LSubset, a: int) -> frozenset:
+    """The crisp ideals of mu's level subring at a, as member index sets.
+    Built once per level and kept on mu; a cut of mu that is not a
+    subring raises RingError."""
+    table = mu._level_ideals
+    if table is None:
+        table = mu._level_ideals = {}
+    if a not in table:
+        leq = mu.lattice.leq_i
+        sub = Subring(mu.ring, [x for x, v in zip(mu.ring.elements, mu.ivalues)
+                                if leq(a, v)])
+        table[a] = frozenset(map(sub._to_idx, sub.ideals()))
+    return table[a]
+
+
 def level_cuts_all_ideals(nu: LSubset, mu: "LSubring") -> bool:
     """Level characterization: nu <= mu and every non-empty level cut of nu
     is a crisp ideal of the matching level subring of mu."""
@@ -158,11 +174,7 @@ def level_cuts_all_ideals(nu: LSubset, mu: "LSubring") -> bool:
         return False
     for a in range(len(lat)):
         cut = frozenset(i for i, v in enumerate(nu.ivalues) if leq(a, v))
-        if not cut:
-            continue
-        mcut = [x for x, v in zip(nu.ring.elements, mu.ivalues) if leq(a, v)]
-        sub = Subring(nu.ring, mcut)  # level cuts of an L-subring are subrings
-        if not sub._is_ideal_i(cut):
+        if cut and cut not in _level_ideals(mu, a):
             return False
     return True
 

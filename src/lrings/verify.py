@@ -814,7 +814,8 @@ def render_text(result: SuiteResult) -> str:
     verdict = ("FAILURES FOUND" if not result.ok else
                f"computation unavailable ({result.cap_skipped} checks "
                "skipped for a cap)" if result.cap_skipped else
-               "all checks passed")
+               "computation unavailable (no checks ran)" if not result.records
+               else "all checks passed")
     lines.append(f"result: {verdict}")
     return "\n".join(lines) + "\n"
 

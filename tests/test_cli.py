@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from lrings.cli import main
 
 INSTANCES = Path(__file__).resolve().parent.parent / "demos" / "instances"
@@ -184,6 +186,29 @@ def test_verify_cap_skip_is_not_a_pass(tmp_path, capsys):
                         "(1 checks skipped for a cap)\n")
     [rec] = json.loads(report.read_text())["records"]
     assert rec["status"] == "SKIP" and rec["detail"].startswith("cap exceeded:")
+
+
+@pytest.mark.parametrize("flag", ["--rings", "--lattices", "--theorems"])
+def test_verify_empty_list_is_a_usage_error(flag, capsys):
+    code, out, err = run(capsys, "verify", flag, ",")
+    assert code == 1
+    assert out == "" and err == f"error: {flag} names nothing\n"
+
+
+def test_verify_negative_sample_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--sample", "-1")
+    assert code == 1
+    assert out == "" and err == "error: --sample must not be negative, got -1\n"
+
+
+def test_verify_zero_checks_is_not_a_pass(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "--rings", "Z4", "--lattices",
+                       "chain2", "--sample", "0", "--report", str(report))
+    assert code == 2
+    assert "all checks passed" not in out
+    assert out.endswith("result: computation unavailable (no checks ran)\n")
+    assert json.loads(report.read_text())["records"] == []
 
 
 def test_verify_report_is_json(tmp_path, capsys):

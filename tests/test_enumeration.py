@@ -10,6 +10,10 @@ The crisp ideals and subrings behind that search are generated as
 closures of generators; the reference for them is the sweep over every
 subset that holds zero.
 
+The level side of ideal validation looks each cut up in a per-subring table
+of crisp ideals; the reference for it builds the level subring afresh for
+every cut and tests the cut against the definition of an ideal.
+
 Lattices are drawn as the closed sets of a random closure system on a
 ground set of at most three points, ordered by inclusion; every finite
 lattice arises this way, so the draws go well beyond chains, m3 and square.
@@ -23,8 +27,9 @@ from hypothesis import assume, given, settings, strategies as st
 from lrings import (FiniteLattice, LSubring, Subring, ideal_survey,
                     make_lattice, make_ring)
 from lrings.core import (LSubset, is_l_subring, level_cut_search,
-                         satisfies_ideal_inequalities)
+                         level_cuts_all_ideals, satisfies_ideal_inequalities)
 from lrings.errors import CapExceeded
+from lrings.rings import RingError
 from lrings.radical import DEFAULT_CANDIDATE_CAP
 from lrings.verify import _enumerate_mus
 
@@ -97,6 +102,57 @@ def test_level_cut_search_matches_box_sweeps(lat, ring, data):
         values = data.draw(st.sampled_from(subrings), label="mu")
         mu = LSubring(ring, lat, [lat.elements[i] for i in values])
     assert [v.ivalues for v in ideal_survey(mu).ideals] == box_ideals(mu)
+
+
+def per_cut_level_check(nu, mu):
+    """The level criterion with a fresh level subring for every non-empty
+    cut: nu <= mu and each cut passes the subring's ideal test."""
+    ring, leq = nu.ring, nu.lattice.leq_i
+    if not all(leq(a, b) for a, b in zip(nu.ivalues, mu.ivalues)):
+        return False
+    for a in range(len(nu.lattice)):
+        cut = frozenset(i for i, v in enumerate(nu.ivalues) if leq(a, v))
+        if not cut:
+            continue
+        mcut = [x for x, v in zip(ring.elements, mu.ivalues) if leq(a, v)]
+        if not Subring(ring, mcut)._is_ideal_i(cut):
+            return False
+    return True
+
+
+def assert_level_side_matches_per_cut_check(ring, lat):
+    bot = lat.index(lat.bottom)
+    for mu in _enumerate_mus(ring, lat, "all", DEFAULT_CANDIDATE_CAP):
+        digits = [lat.interval_i(bot, v) for v in mu.ivalues]
+        for combo in itertools.product(*digits):
+            nu = LSubset._make(ring, lat, combo)
+            assert level_cuts_all_ideals(nu, mu) == per_cut_level_check(nu, mu), \
+                (mu, nu)
+
+
+@pytest.mark.parametrize("lat_name", ["chain2", "chain3", "square", "m3"])
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+def test_level_side_matches_per_cut_check(ring, lat_name):
+    assert_level_side_matches_per_cut_check(ring, make_lattice(lat_name))
+
+
+@settings(max_examples=50, deadline=None)
+@given(closure_lattices(), st.sampled_from(RINGS))
+def test_level_side_matches_per_cut_check_on_drawn_lattices(lat, ring):
+    assume(len(lat) ** len(ring) <= MAX_BOX)
+    assert_level_side_matches_per_cut_check(ring, lat)
+
+
+def test_level_side_raises_only_where_a_cut_of_mu_is_needed():
+    # mu's cut at t is {0, 1}, not a subring of Z4 (1 + 1 = 2)
+    ring, lat = make_ring("Z4"), make_lattice("chain2")
+    mu = LSubset(ring, lat, ["t", "t", "b", "b"])
+    low = LSubset(ring, lat, ["b"] * 4)  # empty cut at t: no lookup there
+    high = LSubset(ring, lat, ["t", "b", "b", "b"])
+    for check in (level_cuts_all_ideals, per_cut_level_check):
+        assert check(low, mu)
+        with pytest.raises(RingError, match="not closed"):
+            check(high, mu)
 
 
 def test_search_counts_every_cut_assignment_tried():

@@ -202,3 +202,4 @@ def test_render_text_verdict_reads_the_skip_kinds():
     assert verdict(cap, hyp) == ("result: computation unavailable "
                                  "(1 checks skipped for a cap)")
     assert verdict(cap, fail) == "result: FAILURES FOUND"
+    assert verdict() == "result: computation unavailable (no checks ran)"
