@@ -33,17 +33,22 @@ def load_instance_file(path):
     """Parse an instance file into (lattice, ring, mu, named subsets)."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise _UsageError("an instance file holds one JSON object")
     for key in ("lattice", "ring"):
         if key not in doc:
             raise _UsageError(f"instance file lacks the {key!r} key")
     lat = make_lattice(doc["lattice"])
     ring = make_ring(doc["ring"])
+    named = doc.get("subsets", {})
+    if not isinstance(named, dict):
+        raise _UsageError("the 'subsets' key must map names to values")
     subsets = {}
-    for name, mapping in doc.get("subsets", {}).items():
+    for name, mapping in named.items():
         subsets[name] = LSubset(ring, lat, mapping)
     mu_name = doc.get("mu", "mu" if "mu" in subsets else None)
     if mu_name is not None:
-        if mu_name not in subsets:
+        if not isinstance(mu_name, str) or mu_name not in subsets:
             raise _UsageError(f"designated subring {mu_name!r} is not among "
                               "the named subsets")
         mu = LSubring(ring, lat, subsets[mu_name].values)
@@ -234,11 +239,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "cap", 0) < 0:
+            raise _UsageError(f"--cap must not be negative, got {args.cap}")
         return args.func(args)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ValidationError, LatticeError, RingError, FileNotFoundError,
+    except (ValidationError, LatticeError, RingError, OSError,
             json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

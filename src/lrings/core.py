@@ -9,6 +9,10 @@ pointwise inequalities and the everywhere-level-cut criterion); any
 disagreement raises ConsistencyError because it would mean either the code
 or a theorem is wrong. The level criterion reads a per-subring table of the
 crisp ideals of each level subring, built once per level on first use.
+Once the subring's ideal survey is built, an LIdeal whose values are in it
+reuses the verdict both characterizations gave then; any other values are
+validated in full, and an ideal missing from the survey raises
+ConsistencyError.
 
 All values are immutable; every operation is pure.
 """
@@ -44,11 +48,14 @@ class LSubset:
             if extra:
                 raise ValidationError(f"unknown ring element {extra[0]!r}")
             seq = [values[x] for x in ring.elements]
-        else:
+        elif isinstance(values, Sequence) and not isinstance(values, str):
             seq = list(values)
             if len(seq) != len(ring.elements):
                 raise ValidationError(
                     f"expected {len(ring.elements)} values, got {len(seq)}")
+        else:
+            raise ValidationError(f"values must be a mapping or a list, "
+                                  f"not {values!r}")
         self.ivalues = tuple(lattice.index(v) for v in seq)
         self._survey = self._level_ideals = None
 
@@ -221,6 +228,9 @@ class LIdeal(LSubset):
     def __init__(self, parent: LSubring, values):
         super().__init__(parent.ring, parent.lattice, values)
         self.parent = parent
+        survey = parent._survey
+        if survey is not None and self.ivalues in survey.index:
+            return
         if not is_ideal_of(self, parent):
             bad = next((x for x, a, b in zip(parent.ring.elements, self.ivalues,
                                              parent.ivalues)
@@ -229,6 +239,9 @@ class LIdeal(LSubset):
                 raise ValidationError(
                     f"not contained in the subring: exceeds it at {bad!r}")
             raise ValidationError("not an ideal of the given L-subring")
+        if survey is not None:
+            raise ConsistencyError(f"{self!r} is an ideal missing from the "
+                                   "survey of its subring")
 
     def zero_value(self) -> str:
         return self.lattice.elements[self.ivalues[self.ring.zero_i]]

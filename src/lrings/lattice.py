@@ -202,9 +202,20 @@ class FiniteLattice:
 # named desk-scale lattices, keyed by the spellings the CLI accepts
 def make_lattice(spec) -> FiniteLattice:
     """Build a lattice from a name ("chain3", "m3", "square"), a
-    {"chain": [...]} shorthand, or {"elements": [...], "leq": [[a,b],...]}."""
+    {"chain": [...]} shorthand, or {"elements": [...], "leq": [[a,b],...]}.
+    A malformed description raises LatticeError."""
     if isinstance(spec, FiniteLattice):
         return spec
+    try:
+        return _lattice_from_spec(spec)
+    except LatticeError:
+        raise
+    except (TypeError, ValueError, IndexError) as e:
+        raise LatticeError(f"cannot interpret lattice description {spec!r}: "
+                           f"{e}") from e
+
+
+def _lattice_from_spec(spec) -> FiniteLattice:
     if isinstance(spec, str):
         low = spec.lower()
         if low.startswith("chain"):

@@ -12,14 +12,17 @@ Every ideal of a subring is found once, by the level-cut search in core
 when each non-empty cut is a crisp ideal of the subring's level cut). The
 resulting survey lists the ideals in canonical order (mixed-radix order of
 their values along the lattice's fixed linear extension), is cached on the
-subring, and answers every family and radical query. The candidate cap
-bounds the cut assignments the search tries; a cached survey is never
-refused.
+subring, and answers every family and radical query. It is the one memo
+for what is asked again about an ideal: it holds each ideal's prime and
+semiprime radical, computed once on first request, and an index of the
+ideals' values that lets LIdeal reuse the verdict both characterizations
+gave when the survey was built. The candidate cap bounds the cut
+assignments the search tries; a cached survey is never refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConsistencyError
 from .core import (LIdeal, LSubring, LSubset, ValidationError,
@@ -159,11 +162,23 @@ def radical(eta: LIdeal):
 
 @dataclass(frozen=True)
 class IdealSurvey:
-    """Every ideal of one L-subring, classified once, in canonical order."""
+    """Every ideal of one L-subring, classified once, in canonical order.
+
+    `index` maps each ideal's values to its position; an LIdeal whose values
+    are in it skips validation, since both characterizations already agreed
+    on them. `radicals` holds each ideal's prime and semiprime radical,
+    keyed by (kind, values) and filled on first request."""
     ideals: tuple[LIdeal, ...]
     prime: tuple[bool, ...]
     semiprime: tuple[bool, ...]
     primary: tuple[bool, ...]
+    index: dict = field(init=False, repr=False, compare=False)
+    radicals: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", {v.ivalues: k for k, v
+                                           in enumerate(self.ideals)})
+        object.__setattr__(self, "radicals", {})
 
 
 def ideal_survey(mu: LSubring, cap: int = DEFAULT_CANDIDATE_CAP) -> IdealSurvey:
@@ -216,11 +231,15 @@ def enumerate_family(eta: LIdeal, kind: str,
 
 
 def _family_meet(eta: LIdeal, kind: str, cap: int) -> LIdeal:
-    family = enumerate_family(eta, kind, cap=cap)
-    mu = eta.parent
-    if not family.members:
-        return LIdeal(mu, mu.values)
-    return intersect_many(family.members)
+    """The meet of eta's family, read from the survey's memo; a failure
+    is not stored, so every later request raises it again."""
+    memo = ideal_survey(eta.parent, cap=cap).radicals
+    key = (kind, eta.ivalues)
+    if key not in memo:
+        family = enumerate_family(eta, kind, cap=cap)
+        memo[key] = (intersect_many(family.members) if family.members
+                     else LIdeal(eta.parent, eta.parent.values))
+    return memo[key]
 
 
 def prime_radical(eta: LIdeal, cap: int = DEFAULT_CANDIDATE_CAP) -> LIdeal:

@@ -172,9 +172,20 @@ class FiniteRing:
 
 def make_ring(spec) -> FiniteRing:
     """Build a ring from "Zn", "ZnxZm..", {"zn": n}, {"product": [...]},
-    or explicit {"elements", "add", "mul"} tables (row-major labels)."""
+    or explicit {"elements", "add", "mul"} tables (row-major labels).
+    A malformed description raises RingError."""
     if isinstance(spec, FiniteRing):
         return spec
+    try:
+        return _ring_from_spec(spec)
+    except RingError:
+        raise
+    except (TypeError, ValueError, IndexError) as e:
+        raise RingError(f"cannot interpret ring description {spec!r}: "
+                        f"{e}") from e
+
+
+def _ring_from_spec(spec) -> FiniteRing:
     if isinstance(spec, str):
         parts = [p.strip() for p in spec.replace("×", "x").split("x")]
         rings = []

@@ -68,6 +68,36 @@ def test_missing_file(capsys):
     assert code == 1
 
 
+GOOD_DOC = {"lattice": "chain2", "ring": "Z2",
+            "subsets": {"eta": {"0": "t", "1": "b"}}}
+
+
+@pytest.mark.parametrize("change", [
+    {"subsets": {"eta": 7}},
+    {"subsets": {"eta": "tb"}},
+    {"subsets": ["eta"]},
+    {"mu": ["eta"]},
+    {"ring": {"zn": "x"}},
+    {"ring": {"product": []}},
+    {"ring": {"elements": ["0"], "add": 3, "mul": [["0"]]}},
+    {"lattice": {"chain": 5}},
+    {"lattice": "chainx"},
+], ids=["subset-int", "subset-str", "subsets-list", "mu-list", "zn-str", "empty-product",
+        "table-int", "chain-int", "chain-name"])
+def test_malformed_instance_exits_1(tmp_path, capsys, change):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({**GOOD_DOC, **change}))
+    code, _, err = run(capsys, "validate", str(f))
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_directory_instance_exits_1(tmp_path, capsys):
+    code, _, err = run(capsys, "validate", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: ")
+
+
 # -- compute ------------------------------------------------------------------
 
 def test_compute_radical(capsys):
@@ -199,6 +229,23 @@ def test_verify_negative_sample_is_a_usage_error(capsys):
     code, out, err = run(capsys, "verify", "--sample", "-1")
     assert code == 1
     assert out == "" and err == "error: --sample must not be negative, got -1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["compute", Z4, "prime-radical", "eta_zero"],
+    ["decompose", Z6, "eta_zero"]], ids=["verify", "compute", "decompose"])
+def test_negative_cap_is_a_usage_error(argv, capsys):
+    code, out, err = run(capsys, *argv, "--cap", "-1")
+    assert code == 1
+    assert out == "" and err == "error: --cap must not be negative, got -1\n"
+
+
+def test_zero_cap_is_legal(capsys):
+    # the survey needs at least one cut assignment, so this is a cap verdict
+    code, _, err = run(capsys, "compute", Z4, "prime-radical", "eta_zero",
+                       "--cap", "0")
+    assert code == 2
+    assert err.startswith("unavailable: ")
 
 
 def test_verify_zero_checks_is_not_a_pass(tmp_path, capsys):

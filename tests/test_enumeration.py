@@ -14,21 +14,29 @@ The level side of ideal validation looks each cut up in a per-subring table
 of crisp ideals; the reference for it builds the level subring afresh for
 every cut and tests the cut against the definition of an ideal.
 
+The ideal survey is also the memo for each ideal's prime and semiprime
+radical, and lets LIdeal skip validation for values it already lists. The
+references for those are the meets of the box-sweep ideals of each kind
+above an ideal, and full validation of every other candidate in the box.
+
 Lattices are drawn as the closed sets of a random closure system on a
 ground set of at most three points, ordered by inclusion; every finite
 lattice arises this way, so the draws go well beyond chains, m3 and square.
 """
 
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lrings import (FiniteLattice, LSubring, Subring, ideal_survey,
-                    make_lattice, make_ring)
-from lrings.core import (LSubset, is_l_subring, level_cut_search,
-                         level_cuts_all_ideals, satisfies_ideal_inequalities)
-from lrings.errors import CapExceeded
+from lrings import (FiniteLattice, LIdeal, LSubring, Subring, ideal_survey,
+                    is_prime, is_semiprime, make_lattice, make_ring,
+                    prime_radical, semiprime_radical)
+from lrings.core import (LSubset, ValidationError, is_l_subring,
+                         level_cut_search, level_cuts_all_ideals,
+                         satisfies_ideal_inequalities)
+from lrings.errors import CapExceeded, ConsistencyError
 from lrings.rings import RingError
 from lrings.radical import DEFAULT_CANDIDATE_CAP
 from lrings.verify import _enumerate_mus
@@ -167,6 +175,81 @@ def test_search_counts_every_cut_assignment_tried():
     with pytest.raises(CapExceeded) as err:
         level_cut_search(ring, lat, lambda a: subrings, 18)
     assert err.value.size == 19
+
+
+# -- the survey as the memo for radicals and validation -----------------------
+
+def box_meet(mu, ideals, lower):
+    """Pointwise meet of the ideals (value tuples) that contain lower; mu
+    itself when there are none."""
+    lat = mu.lattice
+    above = [v for v in ideals
+             if all(lat.leq_i(a, b) for a, b in zip(lower, v))]
+    out = mu.ivalues
+    for v in above:
+        out = tuple(lat.meet_i(a, b) for a, b in zip(out, v))
+    return out
+
+
+def assert_survey_memo_matches_box(ring, lat):
+    bot = lat.index(lat.bottom)
+    for mu in _enumerate_mus(ring, lat, "all", DEFAULT_CANDIDATE_CAP):
+        labels = [[lat.elements[i] for i in c] for c in itertools.product(
+            *(lat.interval_i(bot, v) for v in mu.ivalues))]
+        # validated in full: the survey does not exist yet
+        etas = [LIdeal(mu, c) for c in labels if satisfies_ideal_inequalities(
+            LSubset(ring, lat, c), mu)]
+        assert mu._survey is None
+        primes = [e.ivalues for e in etas if is_prime(e)]
+        semiprimes = [e.ivalues for e in etas if is_semiprime(e)]
+        for _ in range(2):  # the second round reads the memo
+            for eta in etas:
+                assert prime_radical(eta).ivalues == \
+                    box_meet(mu, primes, eta.ivalues), (mu, eta)
+                assert semiprime_radical(eta).ivalues == \
+                    box_meet(mu, semiprimes, eta.ivalues), (mu, eta)
+
+        ideals = {e.ivalues for e in etas}
+        assert set(mu._survey.index) == ideals
+        for c in labels:
+            nu = LSubset(ring, lat, c)
+            if nu.ivalues in ideals:
+                assert LIdeal(mu, c).ivalues == nu.ivalues
+            else:
+                with pytest.raises(ValidationError):
+                    LIdeal(mu, c)
+
+        # P and S agree on every carrier here, so the memo's split by kind
+        # shows only on a survey that lists no semiprime ideal: S is mu
+        survey = mu._survey
+        mu._survey = dataclasses.replace(
+            survey, semiprime=(False,) * len(survey.ideals))
+        for eta in etas:
+            assert prime_radical(eta).ivalues == box_meet(mu, primes, eta.ivalues)
+            assert semiprime_radical(eta).ivalues == mu.ivalues
+
+        for k, eta in enumerate(survey.ideals):
+            def drop(t):
+                return t[:k] + t[k + 1:]
+            mu._survey = dataclasses.replace(
+                survey, ideals=drop(survey.ideals), prime=drop(survey.prime),
+                semiprime=drop(survey.semiprime), primary=drop(survey.primary))
+            with pytest.raises(ConsistencyError, match="missing from the survey"):
+                LIdeal(mu, eta.values)
+        mu._survey = survey
+
+
+@pytest.mark.parametrize("lat_name", ["chain2", "chain3", "square", "m3"])
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+def test_survey_memo_matches_box(ring, lat_name):
+    assert_survey_memo_matches_box(ring, make_lattice(lat_name))
+
+
+@settings(max_examples=50, deadline=None)
+@given(closure_lattices(), st.sampled_from(RINGS))
+def test_survey_memo_matches_box_on_drawn_lattices(lat, ring):
+    assume(len(lat) ** len(ring) <= MAX_BOX)
+    assert_survey_memo_matches_box(ring, lat)
 
 
 # -- crisp ideals and subrings -------------------------------------------------
