@@ -155,6 +155,53 @@ def satisfies_ideal_inequalities(nu: LSubset, mu: "LSubring") -> bool:
     return True
 
 
+def ideal_inequality_search(mu: "LSubring", cap: int) -> list[tuple[int, ...]]:
+    """Every ideal of mu by the pointwise inequalities, as index tuples in
+    canonical order; it shares no code with crisp ideals, so T1.7 can set
+    it against the level-cut survey.
+
+    A depth-first search gives nu(x) a value below mu(x), one ring element
+    at a time in index order and each value in rank order. Every x - y and
+    xy inequality is tested at the step where the last of its three
+    elements gets a value, and the first failure prunes the branch. More
+    than `cap` values tried raises CapExceeded."""
+    ring, lat = mu.ring, mu.lattice
+    leq, meet, join = lat.leq_i, lat.meet_i, lat.join_i
+    m = mu.ivalues
+    n = len(ring)
+    bot = lat.index(lat.bottom)
+    domains = [lat.interval_i(bot, v) for v in m]  # in rank order
+    # (i, j, k, is_product) with k = i - j or k = ij, filed under max(i, j, k)
+    checks = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k, is_product in ((ring._sub_i(i, j), False),
+                                  (ring.mul_i(i, j), True)):
+                checks[max(i, j, k)].append((i, j, k, is_product))
+    e = [bot] * n
+    found = []
+    tried = 0
+
+    def extend(t):
+        nonlocal tried
+        if t == n:
+            found.append(tuple(e))
+            return
+        for v in domains[t]:
+            tried += 1
+            if tried > cap:
+                raise CapExceeded(f"inequality search tried more than {cap} "
+                                  f"values", size=tried)
+            e[t] = v
+            if all(leq(join(meet(m[i], e[j]), meet(e[i], m[j])) if is_product
+                       else meet(e[i], e[j]), e[k])
+                   for i, j, k, is_product in checks[t]):
+                extend(t + 1)
+
+    extend(0)
+    return found
+
+
 def _level_ideals(mu: LSubset, a: int) -> frozenset:
     """The crisp ideals of mu's level subring at a, as member index sets.
     Built once per level and kept on mu; a cut of mu that is not a

@@ -3,10 +3,10 @@
 
 class CapExceeded(RuntimeError):
     """An enumeration would pass its configured cap. The level-cut search
-    counts the cut assignments it has tried and stops at the first one over
-    the cap; T1.7's box oracle counts its candidates before sweeping them;
-    a crisp decomposition search counts the ideals it would combine.
-    `size` is the count that passed the cap."""
+    counts the cut assignments it has tried, and T1.7's inequality search
+    the values it has tried; each stops at the first one over the cap. A
+    crisp decomposition search counts the ideals it would combine. `size`
+    is the count that passed the cap."""
 
     def __init__(self, message, size=None):
         super().__init__(message)

@@ -13,19 +13,18 @@ fixed parameters and seed.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from math import prod
 
 from .errors import CapExceeded, ConsistencyError
 from .lattice import make_lattice
 from .rings import DECOMPOSITION_IDEAL_CAP, RingError, Subring, make_ring
 from .core import (LIdeal, LSubring, LSubset, ValidationError,
-                   intersect_many, level_cut, level_cut_search, level_subring,
-                   level_cuts_all_ideals, satisfies_ideal_inequalities,
-                   strong_cut, strong_subring, sum_ideals, sum_subsets)
+                   ideal_inequality_search, intersect_many, level_cut,
+                   level_cut_search, level_subring, level_cuts_all_ideals,
+                   satisfies_ideal_inequalities, strong_cut, strong_subring,
+                   sum_ideals, sum_subsets)
 from .radical import (DEFAULT_CANDIDATE_CAP, enumerate_family, ideal_survey,
                       is_primary, is_prime, is_semiprime,
                       primary_by_inequalities, primary_by_level_cuts,
@@ -260,20 +259,23 @@ class _Ctx:
 
 
 def _check_t1_7(inst, ctx):
+    # Two complete enumerators of the ideals of mu, one per
+    # characterization, must list the same set, and each member must pass
+    # both characterizations when asked directly.
     mu = inst.mu
-    lat = mu.lattice
-    bot = lat.index(lat.bottom)
-    size = prod(len(lat.interval_i(bot, v)) for v in mu.ivalues)
-    if size > ctx.cap:
-        raise CapExceeded(f"{size} candidates", size=size)
-    digits = [lat.interval_i(bot, v) for v in mu.ivalues]
-    for combo in itertools.product(*digits):
-        cand = LSubset._make(mu.ring, lat, combo)
-        by_def = satisfies_ideal_inequalities(cand, mu)
-        by_levels = level_cuts_all_ideals(cand, mu)
-        if by_def != by_levels:
+    by_def = set(ideal_inequality_search(mu, ctx.cap))
+    by_levels = set(ideal_survey(mu, cap=ctx.cap).index)
+    rank = mu.lattice._rank
+    for v in sorted(by_def | by_levels, key=lambda v: [rank[i] for i in v]):
+        cand = LSubset._make(mu.ring, mu.lattice, v)
+        ineq = v in by_def and satisfies_ideal_inequalities(cand, mu)
+        levels = v in by_levels and level_cuts_all_ideals(cand, mu)
+        if ineq != levels:
             return (f"characterizations disagree on {cand.values}: "
-                    f"inequalities={by_def} levels={by_levels}")
+                    f"inequalities={ineq} levels={levels}")
+        if not ineq:
+            return (f"an enumerator lists {cand.values}, which its "
+                    f"characterization rejects")
     return None
 
 

@@ -206,16 +206,30 @@ def test_verify_cap_exceeded(capsys):
 
 
 def test_verify_cap_skip_is_not_a_pass(tmp_path, capsys):
-    # the only T1.7 instance has a 4^16 box, far over the default cap
+    # the survey of the only mu needs 83 cut assignments, T1.7's inequality
+    # search 2,468 values: only the search passes the cap
     report = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "--rings", "Z16", "--lattices",
-                       "chain4", "--theorems", "T1.7", "--report", str(report))
+                       "chain4", "--theorems", "T1.7", "--cap", "1000",
+                       "--report", str(report))
     assert code == 2
     assert "all checks passed" not in out
     assert out.endswith("result: computation unavailable "
                         "(1 checks skipped for a cap)\n")
     [rec] = json.loads(report.read_text())["records"]
     assert rec["status"] == "SKIP" and rec["detail"].startswith("cap exceeded:")
+    assert "inequality search tried more than 1000 values" in rec["detail"]
+
+
+def test_verify_t1_7_decides_z16_over_chain4(tmp_path, capsys):
+    # 56 ideals in a box of 4^16 candidates
+    report = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "--rings", "Z16", "--lattices",
+                       "chain4", "--theorems", "T1.7", "--report", str(report))
+    assert code == 0
+    assert out.endswith("result: all checks passed\n")
+    [rec] = json.loads(report.read_text())["records"]
+    assert rec["status"] == "PASS"
 
 
 @pytest.mark.parametrize("flag", ["--rings", "--lattices", "--theorems"])

@@ -14,6 +14,11 @@ The level side of ideal validation looks each cut up in a per-subring table
 of crisp ideals; the reference for it builds the level subring afresh for
 every cut and tests the cut against the definition of an ideal.
 
+T1.7 is checked by setting two complete enumerators of the ideals of mu
+against each other: a depth-first search by the pointwise inequalities and
+the level-cut survey. The reference for that verdict is the old sweep of
+the whole box below mu, judging every candidate by both characterizations.
+
 The ideal survey is also the memo for each ideal's prime and semiprime
 radical, and lets LIdeal skip validation for values it already lists. The
 references for those are the meets of the box-sweep ideals of each kind
@@ -33,13 +38,13 @@ from hypothesis import assume, given, settings, strategies as st
 from lrings import (FiniteLattice, LIdeal, LSubring, Subring, ideal_survey,
                     is_prime, is_semiprime, make_lattice, make_ring,
                     prime_radical, semiprime_radical)
-from lrings.core import (LSubset, ValidationError, is_l_subring,
-                         level_cut_search, level_cuts_all_ideals,
+from lrings.core import (LSubset, ValidationError, ideal_inequality_search,
+                         is_l_subring, level_cut_search, level_cuts_all_ideals,
                          satisfies_ideal_inequalities)
 from lrings.errors import CapExceeded, ConsistencyError
 from lrings.rings import RingError
 from lrings.radical import DEFAULT_CANDIDATE_CAP
-from lrings.verify import _enumerate_mus
+from lrings.verify import Instance, _enumerate_mus, check_theorem
 
 # additive group Z2 x Z2 with zero multiplication: no unity, and every
 # additive subgroup (the diagonal included) is an ideal
@@ -175,6 +180,98 @@ def test_search_counts_every_cut_assignment_tried():
     with pytest.raises(CapExceeded) as err:
         level_cut_search(ring, lat, lambda a: subrings, 18)
     assert err.value.size == 19
+
+
+# -- T1.7 by two enumerators ----------------------------------------------------
+
+def box_t1_7(mu):
+    """T1.7 by sweeping every candidate below mu: the detail for the first
+    candidate on which the two characterizations disagree, or None."""
+    lat = mu.lattice
+    bot = lat.index(lat.bottom)
+    digits = [lat.interval_i(bot, v) for v in mu.ivalues]
+    for combo in itertools.product(*digits):
+        cand = LSubset._make(mu.ring, lat, combo)
+        by_def = satisfies_ideal_inequalities(cand, mu)
+        by_levels = level_cuts_all_ideals(cand, mu)
+        if by_def != by_levels:
+            return (f"characterizations disagree on {cand.values}: "
+                    f"inequalities={by_def} levels={by_levels}")
+    return None
+
+
+def t1_7_record(mu):
+    return check_theorem("T1.7", Instance("mu", mu, (ideal_survey(mu).ideals[0],)))
+
+
+def assert_t1_7_matches_box(mu):
+    assert ideal_inequality_search(mu, DEFAULT_CANDIDATE_CAP) == \
+        box_ideals(mu), mu
+    expected = box_t1_7(mu)
+    record = t1_7_record(mu)
+    assert (record.status, record.detail) == (
+        ("PASS", "") if expected is None else ("FAIL", expected)), mu
+
+
+@pytest.mark.parametrize("lat_name", ["chain2", "chain3", "square", "m3"])
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+def test_t1_7_matches_box_sweep(ring, lat_name):
+    lat = make_lattice(lat_name)
+    for mu in _enumerate_mus(ring, lat, "all", DEFAULT_CANDIDATE_CAP):
+        assert_t1_7_matches_box(mu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(closure_lattices(), st.sampled_from(RINGS), st.data())
+def test_t1_7_matches_box_sweep_on_drawn_lattices(lat, ring, data):
+    assume(len(lat) ** len(ring) <= MAX_BOX)
+    mus = _enumerate_mus(ring, lat, "all", DEFAULT_CANDIDATE_CAP)
+    assert_t1_7_matches_box(data.draw(st.sampled_from(mus), label="mu"))
+
+
+def test_inequality_search_counts_every_value_tried():
+    # Z2 over b < t: nu(0) takes b or t, then nu(1) takes b or t, and
+    # 1 - 1 = 0 keeps those with nu(1) <= nu(0): 2 + 2 * 2 = 6 values tried
+    # for 3 ideals
+    ring, lat = make_ring("Z2"), make_lattice("chain2")
+    mu = LSubring.constant_top(ring, lat)
+    assert ideal_inequality_search(mu, 6) == [(0, 0), (1, 0), (1, 1)]
+    with pytest.raises(CapExceeded) as err:
+        ideal_inequality_search(mu, 5)
+    assert err.value.size == 6
+
+
+@pytest.fixture
+def z4_chain3_mu():
+    return LSubring.constant_top(make_ring("Z4"), make_lattice("chain3"))
+
+
+def test_t1_7_names_the_first_candidate_only_one_side_lists(
+        z4_chain3_mu, monkeypatch):
+    mu = z4_chain3_mu
+    ideals = [v.ivalues for v in ideal_survey(mu).ideals]
+    # drop the second and the fourth ideal from the inequality side
+    monkeypatch.setattr("lrings.verify.ideal_inequality_search",
+                        lambda mu, cap: ideals[:1] + ideals[2:3] + ideals[4:])
+    record = t1_7_record(mu)
+    missing = LSubset._make(mu.ring, mu.lattice, ideals[1]).values
+    assert (record.status, record.detail) == (
+        "FAIL", f"characterizations disagree on {missing}: "
+                "inequalities=False levels=True")
+
+
+def test_t1_7_rejects_a_non_ideal_both_sides_list(z4_chain3_mu, monkeypatch):
+    mu = z4_chain3_mu
+    survey = ideal_survey(mu)
+    bogus = (2, 2, 2, 0)  # t everywhere but at 3: not closed under 1 + 2
+    assert bogus not in survey.index
+    monkeypatch.setitem(survey.index, bogus, -1)
+    monkeypatch.setattr("lrings.verify.ideal_inequality_search",
+                        lambda mu, cap: list(survey.index))
+    record = t1_7_record(mu)
+    assert (record.status, record.detail) == (
+        "FAIL", "an enumerator lists ('t', 't', 't', 'b'), which its "
+                "characterization rejects")
 
 
 # -- the survey as the memo for radicals and validation -----------------------

@@ -3,7 +3,9 @@ import pytest
 from lrings import (CapExceeded, FiniteLattice, FiniteRing, LIdeal, LSubring,
                     ValidationError, enumerate_family, fixtures,
                     ideal_survey, is_primary, is_prime, is_semiprime,
-                    prime_cap, prime_radical, radical, semiprime_radical)
+                    make_lattice, make_ring, prime_cap, prime_radical, radical,
+                    semiprime_radical)
+from lrings.verify import Instance, check_theorem
 from lrings.radical import primary_by_inequalities, primary_by_level_cuts
 
 
@@ -187,6 +189,20 @@ def test_radicals_nest(z4_setup, z6_setup):
             assert s.contains(r)
             assert p.contains(s)
             assert mu.contains(p)
+
+
+def test_semiprime_radical_differs_from_prime_radical_on_n5():
+    # N5: 0 < a < b < 1 and 0 < c < 1. eta is semiprime but the meet of
+    # the prime ideals above it is larger, so S is not P read another way
+    n5 = make_lattice({"elements": ["0", "a", "b", "c", "1"],
+                       "leq": [["0", "a"], ["a", "b"], ["b", "1"],
+                               ["0", "c"], ["c", "1"]]})
+    ring = make_ring("Z2xZ2")  # (0,0), (0,1), (1,0), (1,1)
+    mu = LSubring(ring, n5, ["1", "b", "b", "1"])
+    eta = LIdeal(mu, ["1", "0", "a", "c"])
+    assert radical(eta).values == semiprime_radical(eta).values == eta.values
+    assert prime_radical(eta).values == ("1", "0", "b", "c")
+    assert check_theorem("T1.7", Instance("n5", mu, (eta,))).status == "PASS"
 
 
 # -- the capped prime ideal -------------------------------------------------------------
