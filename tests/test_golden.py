@@ -2,10 +2,12 @@
 
 A change to how ideals or L-subrings are enumerated must not move any
 report: the same instances, in the same order, with the same verdicts.
-These digests pin the JSON and text renderings of three small exhaustive
+These digests pin the JSON and text renderings of four small exhaustive
 runs that between them cover a chain, a non-distributive lattice, a
 distributive non-chain lattice, a non-constant subring sweep and a ring
-that is not cyclic.
+that is not cyclic. The fourth runs the strong-cut lemmas ungated over
+every L-subring of Z6 on m3, where many strong cuts are not subrings: it
+pins that every request for such a cut fails with the same message.
 """
 
 import hashlib
@@ -20,21 +22,26 @@ def sha256(text: str) -> str:
 
 
 GOLDEN = [
-    (dict(rings=("Z4",), lattices=("chain3", "m3")),
+    (dict(rings=("Z4",), lattices=("chain3", "m3")), None,
      "8b85eeac262c828f24dca23feb0685dd91c93a06139764ae4236b9736c79ec4b",
      "360a147e5088a1e203eeb913c6fa3f59eefcae875150b3226b8f5c7b7d0ddd35"),
-    (dict(rings=("Z2xZ2",), lattices=("square",)),
+    (dict(rings=("Z2xZ2",), lattices=("square",)), None,
      "4c123b3bdaf4bef174ffd48eb13f8c86acd79e7ec7cef68ec1d8b78d21f0f531",
      "7a923979b703c78f65318b841c73de2675d424cd437992f3c02dbe5635504932"),
-    (dict(rings=("Z4",), lattices=("chain3",), mu_mode="all"),
+    (dict(rings=("Z4",), lattices=("chain3",), mu_mode="all"), None,
      "db345c312b61df774aaae26855d2edaacc4bf77ebb28579d8c4ab829a8daad90",
      "518ffa6adc802f1327497360c5891e24b954be5463ff81f7e1f8eca493b450fa"),
+    (dict(rings=("Z6",), lattices=("m3",), mu_mode="all", gate=False),
+     ("L1.4", "L3.4", "L3.7"),
+     "6cb88267326693e6c73a3d6274b78d903a25be3d9aa15ebbed5e35e0b8e4f2d8",
+     "ba34e41978957ac3f86dfb17974b3dd7914d08932f76b74beae3a338f1f7e18a"),
 ]
 
 
-@pytest.mark.parametrize("kw,json_digest,text_digest", GOLDEN,
-                         ids=["Z4-chain3-m3", "Z2xZ2-square", "Z4-chain3-all"])
-def test_report_digests_unchanged(kw, json_digest, text_digest):
-    result = run_suite(SuiteParams(**kw))
+@pytest.mark.parametrize("kw,theorems,json_digest,text_digest", GOLDEN,
+                         ids=["Z4-chain3-m3", "Z2xZ2-square", "Z4-chain3-all",
+                              "Z6-m3-all-ungated-strong-cuts"])
+def test_report_digests_unchanged(kw, theorems, json_digest, text_digest):
+    result = run_suite(SuiteParams(**kw), ids=theorems)
     assert sha256(render_json(result)) == json_digest
     assert sha256(render_text(result)) == text_digest
