@@ -8,8 +8,7 @@ objects on desk-scale instances.
 
 from .errors import CapExceeded, ConsistencyError
 from .lattice import FiniteLattice, LatticeError, make_lattice
-from .rings import (FiniteRing, RingError, Subring, make_ring,
-                    restrict_decomposition)
+from .rings import FiniteRing, RingError, Subring, make_ring
 from .core import (LIdeal, LSubring, LSubset, ValidationError,
                    intersect_many, is_ideal_of, is_l_subring, level_cut,
                    level_subring, strong_cut, strong_subring, sum_ideals,
@@ -27,7 +26,6 @@ __all__ = [
     "CapExceeded", "ConsistencyError",
     "FiniteLattice", "LatticeError", "make_lattice",
     "FiniteRing", "RingError", "Subring", "make_ring",
-    "restrict_decomposition",
     "LIdeal", "LSubring", "LSubset", "ValidationError",
     "intersect_many", "is_ideal_of", "is_l_subring", "level_cut",
     "level_subring", "strong_cut", "strong_subring", "sum_ideals",

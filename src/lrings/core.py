@@ -7,12 +7,13 @@ subtraction and multiplication; LIdeal wraps an ideal of such a subring.
 Ideal validation is eager and runs two independent characterizations (the
 pointwise inequalities and the everywhere-level-cut criterion); any
 disagreement raises ConsistencyError because it would mean either the code
-or a theorem is wrong. The level criterion reads a per-subring table of the
-crisp ideals of each level subring, built once per level on first use.
-Once the subring's ideal survey is built, an LIdeal whose values are in it
-reuses the verdict both characterizations gave then; any other values are
-validated in full, and an ideal missing from the survey raises
-ConsistencyError.
+or a theorem is wrong. Each L-subset keeps the crisp subrings of its level
+and strong cuts, each built on first request, and a crisp Subring finds
+its ideals once; so the level criterion, the ideal survey and every
+crisp question about a cut of mu read one table. Once the subring's
+ideal survey is built, an LIdeal whose values are in it reuses the
+verdict both characterizations gave then; any other values are validated
+in full, and an ideal missing from the survey raises ConsistencyError.
 
 All values are immutable; every operation is pure.
 """
@@ -35,7 +36,7 @@ class ValidationError(ValueError):
 class LSubset:
     """Total map ring elements -> lattice elements, stored by index."""
 
-    __slots__ = ("ring", "lattice", "ivalues", "_survey", "_level_ideals")
+    __slots__ = ("ring", "lattice", "ivalues", "_survey", "_cut_subrings")
 
     def __init__(self, ring: FiniteRing, lattice: FiniteLattice, values):
         self.ring = ring
@@ -57,7 +58,7 @@ class LSubset:
             raise ValidationError(f"values must be a mapping or a list, "
                                   f"not {values!r}")
         self.ivalues = tuple(lattice.index(v) for v in seq)
-        self._survey = self._level_ideals = None
+        self._survey = self._cut_subrings = None
 
     @classmethod
     def _make(cls, ring, lattice, ivalues: tuple[int, ...]) -> "LSubset":
@@ -65,12 +66,8 @@ class LSubset:
         obj.ring = ring
         obj.lattice = lattice
         obj.ivalues = tuple(ivalues)
-        obj._survey = obj._level_ideals = None
+        obj._survey = obj._cut_subrings = None
         return obj
-
-    @classmethod
-    def constant(cls, ring, lattice, label: str) -> "LSubset":
-        return cls._make(ring, lattice, (lattice.index(label),) * len(ring))
 
     def value(self, x: str) -> str:
         return self.lattice.elements[self.ivalues[self.ring.index(x)]]
@@ -202,21 +199,6 @@ def ideal_inequality_search(mu: "LSubring", cap: int) -> list[tuple[int, ...]]:
     return found
 
 
-def _level_ideals(mu: LSubset, a: int) -> frozenset:
-    """The crisp ideals of mu's level subring at a, as member index sets.
-    Built once per level and kept on mu; a cut of mu that is not a
-    subring raises RingError."""
-    table = mu._level_ideals
-    if table is None:
-        table = mu._level_ideals = {}
-    if a not in table:
-        leq = mu.lattice.leq_i
-        sub = Subring(mu.ring, [x for x, v in zip(mu.ring.elements, mu.ivalues)
-                                if leq(a, v)])
-        table[a] = frozenset(map(sub._to_idx, sub.ideals()))
-    return table[a]
-
-
 def level_cuts_all_ideals(nu: LSubset, mu: "LSubring") -> bool:
     """Level characterization: nu <= mu and every non-empty level cut of nu
     is a crisp ideal of the matching level subring of mu."""
@@ -228,7 +210,7 @@ def level_cuts_all_ideals(nu: LSubset, mu: "LSubring") -> bool:
         return False
     for a in range(len(lat)):
         cut = frozenset(i for i, v in enumerate(nu.ivalues) if leq(a, v))
-        if cut and cut not in _level_ideals(mu, a):
+        if cut and cut not in _cut_subring(mu, a, strong=False)._closures(True):
             return False
     return True
 
@@ -312,23 +294,38 @@ def strong_cut(f: LSubset, a: str) -> frozenset[str]:
                      if leq(ai, v) and v != ai)
 
 
+def _cut_subring(mu: LSubset, a: int, strong: bool) -> Subring:
+    """mu's strong (strict) or level cut at lattice index a as a crisp
+    Subring, built once and kept on mu. Only results are kept: an empty
+    cut raises ValidationError, and a cut that is not closed RingError,
+    on every request."""
+    memo = mu._cut_subrings
+    if memo is None:
+        memo = mu._cut_subrings = {}
+    sub = memo.get((a, strong))
+    if sub is None:
+        ring, lat = mu.ring, mu.lattice
+        cut = [x for x, v in zip(ring.elements, mu.ivalues)
+               if lat.leq_i(a, v) and not (strong and v == a)]
+        if not cut:
+            raise ValidationError(f"{'strong' if strong else 'level'} cut at "
+                                  f"{lat.elements[a]!r} is empty")
+        sub = memo[(a, strong)] = Subring(ring, cut)
+    return sub
+
+
 def level_subring(mu: LSubring, a: str) -> Subring:
     """The level cut of an L-subring as a crisp Subring (valid on any
-    lattice). Raises on an empty cut."""
-    cut = level_cut(mu, a)
-    if not cut:
-        raise ValidationError(f"level cut at {a!r} is empty")
-    return Subring(mu.ring, cut)
+    lattice), built once per mu and level. Raises on an empty cut."""
+    return _cut_subring(mu, mu.lattice.index(a), strong=False)
 
 
 def strong_subring(mu: LSubring, a: str) -> Subring:
-    """The strong cut of an L-subring as a crisp Subring. Guaranteed to be
-    closed when the lattice is a chain; on other lattices closure may fail
-    and the underlying RingError propagates."""
-    cut = strong_cut(mu, a)
-    if not cut:
-        raise ValidationError(f"strong cut at {a!r} is empty")
-    return Subring(mu.ring, cut)
+    """The strong cut of an L-subring as a crisp Subring, built once per
+    mu and level. Guaranteed to be closed when the lattice is a chain; on
+    other lattices closure may fail, and the RingError is raised on every
+    request. Raises on an empty cut."""
+    return _cut_subring(mu, mu.lattice.index(a), strong=True)
 
 
 def level_cut_search(ring: FiniteRing, lattice: FiniteLattice, allowed,

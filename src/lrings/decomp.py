@@ -19,9 +19,9 @@ from typing import Iterable, Sequence
 
 from .errors import ConsistencyError
 from .core import (LIdeal, LSubring, LSubset, ValidationError, intersect_many,
-                   level_cut, strong_cut, strong_subring)
+                   level_cut, level_subring, strong_cut, strong_subring)
 from .radical import DEFAULT_CANDIDATE_CAP, is_primary, prime_radical
-from .rings import (DECOMPOSITION_IDEAL_CAP, Subring, restrict_decomposition)
+from .rings import DECOMPOSITION_IDEAL_CAP, Subring
 
 
 class DecompositionError(RuntimeError):
@@ -160,11 +160,11 @@ def decompose(eta: LIdeal, crisp_cap: int = DECOMPOSITION_IDEAL_CAP,
     """Primary decomposition of an ideal over a chain lattice.
 
     For each consecutive pair of image values t_i > t_next, the level cut
-    at t_i is decomposed inside the strong-cut subring at t_next (directly,
-    or by decomposing in the whole ring and restricting when the direct
-    search finds nothing), and every crisp factor is lifted to the value
-    pair (top image value, t_next). Factor order: level index ascending,
-    then crisp oracle order."""
+    at t_i is decomposed inside the strong-cut subring at t_next, and
+    every crisp factor is lifted to the value pair (top image value,
+    t_next); that subring's search is exhaustive, so when it finds
+    nothing NoCrispDecomposition is raised. Factor order: level index
+    ascending, then crisp oracle order."""
     mu = eta.parent
     lat = eta.lattice
     _require_chain(lat, "primary decomposition")
@@ -180,7 +180,6 @@ def decompose(eta: LIdeal, crisp_cap: int = DECOMPOSITION_IDEAL_CAP,
 
     top_value = levels[0]
     factors = []
-    whole = Subring.whole(mu.ring)
     for i in range(len(levels) - 1):
         t_next = levels[i + 1]
         carrier = strong_subring(mu, t_next)
@@ -191,12 +190,6 @@ def decompose(eta: LIdeal, crisp_cap: int = DECOMPOSITION_IDEAL_CAP,
                 f"{t_next!r}; no proper crisp target to decompose",
                 level=t_next)
         crisp = carrier.primary_decomposition(cut, cap=crisp_cap)
-        if (crisp is None and len(carrier) < len(whole)
-                and whole.is_ideal(cut) and cut != whole.member_set):
-            # fall back through the ambient ring and restrict
-            ambient = whole.primary_decomposition(cut, cap=crisp_cap)
-            if ambient is not None:
-                crisp = restrict_decomposition(ambient, carrier)
         if crisp is None:
             raise NoCrispDecomposition(
                 f"no crisp primary decomposition at level {t_next!r}",
@@ -238,9 +231,9 @@ def project_level(dec: Decomposition, t: str, strong: bool) -> list[frozenset]:
     lat = mu.lattice
     if strong:
         _require_chain(lat, "strong-cut projection")
-        cut_of = strong_cut
+        cut_of, subring_of = strong_cut, strong_subring
     else:
-        cut_of = level_cut
+        cut_of, subring_of = level_cut, level_subring
     target_cut = cut_of(dec.target, t)
     mu_cut = cut_of(mu, t)
     if not target_cut:
@@ -248,7 +241,7 @@ def project_level(dec: Decomposition, t: str, strong: bool) -> list[frozenset]:
     if target_cut == mu_cut:
         raise DecompositionError(
             f"cut of the target at {t!r} equals the subring's cut")
-    carrier = Subring(mu.ring, mu_cut)
+    carrier = subring_of(mu, t)
     survivors = []
     for f in dec.factors:
         c = cut_of(f, t)
@@ -289,7 +282,7 @@ def lift_reducedness(dec: Decomposition, t: str) -> bool:
         raise DecompositionError(
             f"factor index(es) {dropped} project onto the whole level "
             f"subring at {t!r}; the transfer needs every factor to survive")
-    carrier = Subring(mu.ring, mu_cut)
+    carrier = level_subring(mu, t)
     crisp_reduced = True
     for i in range(len(cuts)):
         others = mu_cut

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from .errors import ConsistencyError
 from .core import (LIdeal, LSubring, LSubset, ValidationError,
                    intersect_many, level_cut, level_cut_search, level_subring)
-from .rings import Subring
 
 DEFAULT_CANDIDATE_CAP = 2_000_000
 
@@ -184,16 +183,17 @@ class IdealSurvey:
 def ideal_survey(mu: LSubring, cap: int = DEFAULT_CANDIDATE_CAP) -> IdealSurvey:
     """Enumerate and classify every ideal of mu once, by a level-cut search
     whose allowed cuts at a are the crisp ideals of mu's level subring at a
-    (T1.7). Building it may try at most `cap` cut assignments; once cached
-    on the subring it is returned whatever the cap. Concurrent callers may
-    race to fill the cache, but the value computed is identical either way."""
+    (T1.7), from the same table that validates each ideal found. Building
+    it may try at most `cap` cut assignments; once cached on the subring
+    it is returned whatever the cap. Concurrent callers may race to fill
+    the cache, but the value computed is identical either way."""
     if mu._survey is not None:
         return mu._survey
     ring, lat = mu.ring, mu.lattice
 
     def crisp_ideals(a):
-        cut = level_cut(mu, lat.elements[a])
-        return Subring(ring, cut).ideals() if cut else []
+        label = lat.elements[a]
+        return level_subring(mu, label).ideals() if level_cut(mu, label) else []
 
     ideals = tuple(LIdeal(mu, [lat.elements[i] for i in v])
                    for v in level_cut_search(ring, lat, crisp_ideals, cap))

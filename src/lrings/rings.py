@@ -39,10 +39,6 @@ class FiniteRing:
         self._add = self._table(add, "add")
         self._mul = self._table(mul, "mul")
         self._validate()
-        # cached per-subring ideal and subring lists, keyed by the member
-        # index set
-        self._ideal_cache: dict[frozenset, list] = {}
-        self._subring_cache: dict[frozenset, list] = {}
 
     def _table(self, rows, which):
         n = len(self.elements)
@@ -222,6 +218,7 @@ class Subring:
         self._members_i = idx
         self.members = tuple(ring.elements[i] for i in sorted(idx))
         self.member_set = frozenset(self.members)
+        self._found: dict[bool, dict] = {}  # see _closures
 
     @classmethod
     def whole(cls, ring: FiniteRing) -> "Subring":
@@ -302,13 +299,15 @@ class Subring:
             out |= new
         return frozenset(out)
 
-    def _closures(self, cache: dict, ideal: bool) -> list[frozenset]:
-        """Every ideal (subring): close {0}, then each set found with one
-        member of each coset outside it, so work grows with the number
-        found, not with 2^n. Re-checked by the definition, sorted by size
-        then sorted member index lists, cached per member set."""
-        cached = cache.get(self._members_i)
-        if cached is None:
+    def _closures(self, ideal: bool) -> dict[frozenset, None]:
+        """Every ideal (subring) as member index sets: close {0}, then each
+        set found with one member of each coset outside it, so work grows
+        with the number found, not with 2^n. Re-checked by the definition
+        and sorted by size then sorted member index lists. Computed once
+        and kept on this subring, as the keys of a dict, so the order is
+        kept and a membership test is a lookup."""
+        found = self._found.get(ideal)
+        if found is None:
             r = self.ring
             found, todo = set(), [self._close(frozenset(), r.zero_i, ideal)]
             while todo:
@@ -323,19 +322,19 @@ class Subring:
             pred = self._is_ideal_i if ideal else self._is_subring_i
             if not all(map(pred, found)):
                 raise ConsistencyError("a closure fails the definition")
-            cached = sorted(found, key=lambda I: (len(I), sorted(I)))
-            cache[self._members_i] = cached
-        return [self._to_labels(I) for I in cached]
+            found = self._found[ideal] = dict.fromkeys(
+                sorted(found, key=lambda I: (len(I), sorted(I))))
+        return found
 
     def ideals(self) -> list[frozenset]:
         """All ideals, sorted by size then by the sorted member index lists.
-        Cached on the ring per member set."""
-        return self._closures(self.ring._ideal_cache, ideal=True)
+        Found once per subring; each call returns a new list."""
+        return [self._to_labels(I) for I in self._closures(ideal=True)]
 
     def subrings(self) -> list[frozenset]:
-        """All subrings of this subring, in the order of ideals(). Cached
-        on the ring per member set."""
-        return self._closures(self.ring._subring_cache, ideal=False)
+        """All subrings of this subring, in the order of ideals(). Found
+        once per subring; each call returns a new list."""
+        return [self._to_labels(I) for I in self._closures(ideal=False)]
 
     def is_prime_ideal(self, I: Iterable[str]) -> bool:
         """xy in I forces x in I or y in I; the whole subring is not prime."""
@@ -411,37 +410,3 @@ class Subring:
             inter &= J
         if inter != target:
             raise ConsistencyError("decomposition does not intersect to target")
-
-
-def restrict_decomposition(factors: Sequence[frozenset], sub: Subring) -> list[frozenset]:
-    """Restrict a primary decomposition in the ambient ring to a subring:
-    drop factors whose trace on the subring is everything, intersect the
-    rest. Errors if every factor drops (then the decomposed ideal would
-    equal the subring, contradicting properness)."""
-    whole = Subring.whole(sub.ring)
-    for J in factors:
-        if not whole.is_primary_ideal(J):
-            raise RingError(f"{sorted(J)} is not primary in {sub.ring.name}")
-    kept = []
-    for J in factors:
-        trace = J & sub.member_set
-        if trace == sub.member_set:
-            continue
-        if not sub.is_primary_ideal(trace):
-            raise ConsistencyError(
-                "trace of a primary ideal on a subring is neither the "
-                "subring nor primary in it")
-        kept.append(trace)
-    if not kept:
-        raise RingError("every factor restricts to the whole subring; the "
-                        "decomposed ideal cannot be proper in it")
-    target = sub.member_set
-    for J in factors:
-        target &= J
-    inter = sub.member_set
-    for J in kept:
-        inter &= J
-    if inter != target:
-        raise ConsistencyError("restricted factors missed the restricted "
-                               "intersection")
-    return kept

@@ -283,11 +283,10 @@ def _check_l1_4(inst, ctx):
     mu = inst.mu
     lat = mu.lattice
     for r in lat.elements:
-        sc = strong_cut(mu, r)
-        if not sc:
+        if not strong_cut(mu, r):
             continue
         try:
-            sub = Subring(mu.ring, sc)
+            sub = strong_subring(mu, r)
         except RingError as e:
             return f"strong cut at {r!r} is not a subring: {e}"
         for t in lat.elements:
@@ -546,7 +545,7 @@ def _check_l3_7(inst, ctx):
         msc = strong_cut(mu, t)
         if sc == msc:
             continue
-        if not Subring(mu.ring, msc).is_primary_ideal(sc):
+        if not strong_subring(mu, t).is_primary_ideal(sc):
             return f"strong cut at {t!r} is neither everything nor primary"
     return None
 

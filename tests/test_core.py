@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lrings import (FiniteLattice, FiniteRing, LIdeal,
-                    LSubring, LSubset, ValidationError, intersect_many,
-                    is_ideal_of, is_l_subring, level_cut, strong_cut,
-                    strong_subring, sum_ideals, sum_subsets)
+                    LSubring, LSubset, RingError, Subring, ValidationError,
+                    intersect_many, is_ideal_of, is_l_subring, level_cut,
+                    level_subring, strong_cut, strong_subring, sum_ideals,
+                    sum_subsets)
 from lrings.core import level_cuts_all_ideals, satisfies_ideal_inequalities
 
 
@@ -115,6 +116,34 @@ def test_strong_cuts_of_subring_are_subrings(z4_ring, chain3):
             for t in chain3.elements:
                 if chain3.lt(r, t):
                     assert level_cut(mu, t) <= sub.member_set
+
+
+def test_cut_subrings_are_built_once_per_mu(z4_ring, chain3):
+    mu = LSubring(z4_ring, chain3, ["t", "m", "t", "m"])
+    for r in chain3.elements:
+        assert level_subring(mu, r) is level_subring(mu, r)
+        if strong_cut(mu, r):
+            assert strong_subring(mu, r) is strong_subring(mu, r)
+
+
+def test_a_cut_that_is_not_a_subring_fails_on_every_request(m3):
+    # L1.4 needs a chain: on m3 the strong cut at 0 here is {0, 2, 3, 4}
+    mu = LSubring(FiniteRing.zn(6), m3, ["1", "0", "a", "b", "a", "0"])
+    for _ in range(2):
+        with pytest.raises(RingError, match="^not closed under subtraction: "
+                                            "'2' - '3'$"):
+            strong_subring(mu, "0")
+        with pytest.raises(ValidationError, match="strong cut at '1' is empty"):
+            strong_subring(mu, "1")
+
+
+def test_returned_ideal_lists_are_the_callers_own(z4_ring):
+    sub = Subring.whole(z4_ring)
+    for found in (sub.ideals, sub.subrings):
+        first = found()
+        expected = list(first)
+        first.clear()
+        assert found() == expected
 
 
 def test_power_values_dominate_in_subrings(z4_ring):

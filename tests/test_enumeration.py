@@ -24,6 +24,10 @@ radical, and lets LIdeal skip validation for values it already lists. The
 references for those are the meets of the box-sweep ideals of each kind
 above an ideal, and full validation of every other candidate in the box.
 
+Primary decompositions of crisp ideals are searched in the subring that
+holds them and nowhere else; every proper ideal of every subring of the
+crisp test rings must get primary factors that meet to it.
+
 Lattices are drawn as the closed sets of a random closure system on a
 ground set of at most three points, ordered by inclusion; every finite
 lattice arises this way, so the draws go well beyond chains, m3 and square.
@@ -377,6 +381,21 @@ def test_closures_match_subset_sweep(spec):
         sub = Subring(ring, members)
         assert sub.ideals() == subset_sweep(sub, sub._is_ideal_i)
         assert sub.subrings() == subset_sweep(sub, sub._is_subring_i)
+
+
+@pytest.mark.parametrize("spec", CRISP_RINGS,
+                         ids=lambda s: s if isinstance(s, str) else "klein0")
+def test_every_proper_ideal_of_a_subring_has_a_primary_decomposition(spec):
+    ring = make_ring(spec)
+    for members in Subring.whole(ring).subrings():
+        sub = Subring(ring, members)
+        for I in sub.ideals():
+            if I == sub.member_set:
+                continue
+            factors = sub.primary_decomposition(I)
+            assert factors, (sub, sorted(I))
+            assert all(sub.is_primary_ideal(J) for J in factors)
+            assert frozenset.intersection(sub.member_set, *factors) == I
 
 
 @pytest.mark.parametrize("n", [24, 30, 36])

@@ -1,7 +1,6 @@
 import pytest
 
-from lrings import (CapExceeded, FiniteRing, RingError, Subring, make_ring,
-                    restrict_decomposition)
+from lrings import CapExceeded, FiniteRing, RingError, Subring, make_ring
 
 
 def ideals_of(ring_name):
@@ -201,41 +200,6 @@ def test_decomposition_cap():
     _, z12 = ideals_of("Z12")
     with pytest.raises(CapExceeded):
         z12.primary_decomposition({"0"}, cap=3)
-
-
-# -- restriction -------------------------------------------------------------
-
-def test_restrict_keeps_proper_traces():
-    z12 = make_ring("Z12")
-    evens = Subring(z12, {"0", "2", "4", "6", "8", "10"})
-    dec = [frozenset({"0", "4", "8"}), frozenset({"0", "3", "6", "9"})]
-    out = restrict_decomposition(dec, evens)
-    assert out == [frozenset({"0", "4", "8"}), frozenset({"0", "6"})]
-    inter = evens.member_set
-    for J in out:
-        assert evens.is_primary_ideal(J)
-        inter &= J
-    assert inter == frozenset({"0"})
-
-
-def test_restrict_drops_full_traces():
-    z6 = make_ring("Z6")
-    sub = Subring(z6, {"0", "2", "4"})
-    dec = [frozenset({"0", "2", "4"}), frozenset({"0", "3"})]
-    assert restrict_decomposition(dec, sub) == [frozenset({"0"})]
-
-
-def test_restrict_whole_ring_unchanged():
-    z4 = make_ring("Z4")
-    dec = [frozenset({"0", "2"})]
-    assert restrict_decomposition(dec, Subring.whole(z4)) == dec
-
-
-def test_restrict_all_dropped_is_error():
-    z6 = make_ring("Z6")
-    sub = Subring(z6, {"0", "2", "4"})
-    with pytest.raises(RingError, match="whole subring"):
-        restrict_decomposition([frozenset({"0", "2", "4"})], sub)
 
 
 # -- power orbits -------------------------------------------------------------
