@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import CapExceeded
@@ -160,6 +161,9 @@ def cmd_verify(args) -> int:
         raise _UsageError(f"--sample must not be negative, got {args.sample}")
     ids = (None if args.theorems is None
            else _name_list("--theorems", args.theorems))
+    if args.report and not os.path.isdir(os.path.dirname(args.report) or "."):
+        raise _UsageError(
+            f"--report: the directory of {args.report!r} does not exist")
     params = verify_mod.SuiteParams(
         rings=_name_list("--rings", args.rings),
         lattices=_name_list("--lattices", args.lattices),

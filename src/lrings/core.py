@@ -14,6 +14,8 @@ crisp question about a cut of mu read one table. Once the subring's
 ideal survey is built, an LIdeal whose values are in it reuses the
 verdict both characterizations gave then; any other values are validated
 in full, and an ideal missing from the survey raises ConsistencyError.
+Its memo also keeps each sum of two of its ideals, keyed by values; a
+sum that is not an ideal is not kept, so it raises on every request.
 
 All values are immutable; every operation is pure.
 """
@@ -21,7 +23,7 @@ All values are immutable; every operation is pure.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .errors import CapExceeded, ConsistencyError
 from .lattice import FiniteLattice
@@ -397,21 +399,30 @@ def level_cut_search(ring: FiniteRing, lattice: FiniteLattice, allowed,
 # ---------------------------------------------------------------------------
 # sums and intersections
 
+def survey_memo(mu: LSubring, key, compute):
+    """compute(), kept under key in the memo of mu's ideal survey once that
+    survey is built (a lookup never builds one); errors are never kept."""
+    memo = {} if mu._survey is None else mu._survey.memo
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
 def sum_subsets(f: LSubset, g: LSubset) -> LSubset:
     """Pointwise join over all additive splittings:
     (f+g)(x) = v { f(y) ^ g(z) : y + z = x }."""
     if not f.same_carrier(g):
         raise ValidationError("carriers differ")
     r, lat = f.ring, f.lattice
-    meet, join = lat.meet_i, lat.join_i
+    meet, join, sub = lat._meet, lat._join, r._sub_i  # the loop is hot
+    fv, gv = f.ivalues, g.ivalues
     bot = lat.index(lat.bottom)
     n = len(r)
     out = []
     for x in range(n):
         acc = bot
         for y in range(n):
-            z = r._sub_i(x, y)
-            acc = join(acc, meet(f.ivalues[y], g.ivalues[z]))
+            acc = join[acc][meet[fv[y]][gv[sub(x, y)]]]
         out.append(acc)
     return LSubset._make(r, lat, tuple(out))
 
@@ -431,6 +442,11 @@ def sum_ideals(a: LIdeal, b: LIdeal) -> LIdeal:
         raise ValidationError(
             f"values at zero differ ({a.zero_value()} vs {b.zero_value()}); "
             "the sum is only an ideal when they agree")
+    return survey_memo(a.parent, ("sum", a.ivalues, b.ivalues),
+                       lambda: _sum_ideals(a, b))
+
+
+def _sum_ideals(a: LIdeal, b: LIdeal) -> LIdeal:
     raw = sum_subsets(a, b)
     try:
         out = LIdeal(a.parent, raw.values)

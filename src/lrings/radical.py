@@ -13,11 +13,14 @@ when each non-empty cut is a crisp ideal of the subring's level cut). The
 resulting survey lists the ideals in canonical order (mixed-radix order of
 their values along the lattice's fixed linear extension), is cached on the
 subring, and answers every family and radical query. It is the one memo
-for what is asked again about an ideal: it holds each ideal's prime and
-semiprime radical, computed once on first request, and an index of the
-ideals' values that lets LIdeal reuse the verdict both characterizations
-gave when the survey was built. The candidate cap bounds the cut
-assignments the search tries; a cached survey is never refused.
+for what is asked again about an ideal: it keeps each ideal's three
+radicals and the sums of its ideals once asked for, and never a failure;
+its flags answer the predicates; and its index of values lets LIdeal
+reuse the verdict both characterizations gave when the survey was built.
+Only the prime and semiprime radicals build a survey; the pointwise
+radical, sums and predicates read one only once it is built. The
+candidate cap bounds the cut assignments the search tries; a cached
+survey is never refused.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from dataclasses import dataclass, field
 
 from .errors import ConsistencyError
 from .core import (LIdeal, LSubring, LSubset, ValidationError,
-                   intersect_many, level_cut, level_cut_search, level_subring)
+                   intersect_many, level_cut, level_cut_search, level_subring,
+                   survey_memo)
 
 DEFAULT_CANDIDATE_CAP = 2_000_000
 
@@ -34,9 +38,18 @@ DEFAULT_CANDIDATE_CAP = 2_000_000
 # ---------------------------------------------------------------------------
 # predicates
 
+def _survey_flag(eta: LIdeal, kind: str):
+    """eta's flag of this kind in a built survey that lists it, else None."""
+    survey = eta.parent._survey
+    k = None if survey is None else survey.index.get(eta.ivalues)
+    return None if k is None else getattr(survey, kind)[k]
+
+
 def is_prime(eta: LIdeal) -> bool:
     """For every pair, eta(xy) ^ mu(x) ^ mu(y) equals eta(x) ^ mu(y) or
     eta(y) ^ mu(x). The whole subring is never prime."""
+    if (flag := _survey_flag(eta, "prime")) is not None:
+        return flag
     mu = eta.parent
     if eta.ivalues == mu.ivalues:
         return False
@@ -54,6 +67,8 @@ def is_prime(eta: LIdeal) -> bool:
 
 def is_semiprime(eta: LIdeal) -> bool:
     """eta(x^n) ^ mu(x) = eta(x) for every x and every positive n."""
+    if (flag := _survey_flag(eta, "semiprime")) is not None:
+        return flag
     mu = eta.parent
     if eta.ivalues == mu.ivalues:
         return False
@@ -112,7 +127,10 @@ def primary_by_level_cuts(eta: LIdeal) -> bool:
 
 
 def is_primary(eta: LIdeal) -> bool:
-    """Both characterizations, which must agree."""
+    """Both characterizations, which must agree (as they did on each flag
+    the survey holds)."""
+    if (flag := _survey_flag(eta, "primary")) is not None:
+        return flag
     by_def = primary_by_inequalities(eta)
     by_levels = primary_by_level_cuts(eta)
     if by_def != by_levels:
@@ -133,6 +151,11 @@ def radical(eta: LIdeal):
     is guaranteed on complete Heyting lattices (a failure there is an
     internal error) and on other lattices a plain LSubset is returned
     instead, so callers can isinstance-check ideal validity."""
+    return survey_memo(eta.parent, ("rad", eta.ivalues),
+                       lambda: _radical(eta))
+
+
+def _radical(eta: LIdeal):
     mu = eta.parent
     r, lat = eta.ring, eta.lattice
     meet, join = lat.meet_i, lat.join_i
@@ -165,19 +188,20 @@ class IdealSurvey:
 
     `index` maps each ideal's values to its position; an LIdeal whose values
     are in it skips validation, since both characterizations already agreed
-    on them. `radicals` holds each ideal's prime and semiprime radical,
-    keyed by (kind, values) and filled on first request."""
+    on them, and the predicates return its flags. `memo` holds, keyed by
+    values and filled on first request, the prime, semiprime and pointwise
+    radical ("prime"/"semiprime"/"rad", v) and sums ("sum", v, w)."""
     ideals: tuple[LIdeal, ...]
     prime: tuple[bool, ...]
     semiprime: tuple[bool, ...]
     primary: tuple[bool, ...]
     index: dict = field(init=False, repr=False, compare=False)
-    radicals: dict = field(init=False, repr=False, compare=False)
+    memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "index", {v.ivalues: k for k, v
                                            in enumerate(self.ideals)})
-        object.__setattr__(self, "radicals", {})
+        object.__setattr__(self, "memo", {})
 
 
 def ideal_survey(mu: LSubring, cap: int = DEFAULT_CANDIDATE_CAP) -> IdealSurvey:
@@ -231,15 +255,15 @@ def enumerate_family(eta: LIdeal, kind: str,
 
 
 def _family_meet(eta: LIdeal, kind: str, cap: int) -> LIdeal:
-    """The meet of eta's family, read from the survey's memo; a failure
-    is not stored, so every later request raises it again."""
-    memo = ideal_survey(eta.parent, cap=cap).radicals
-    key = (kind, eta.ivalues)
-    if key not in memo:
+    """The meet of eta's family, kept in the memo of the survey it builds;
+    a failure is not stored, so every later request raises it again."""
+    ideal_survey(eta.parent, cap=cap)
+
+    def meet():
         family = enumerate_family(eta, kind, cap=cap)
-        memo[key] = (intersect_many(family.members) if family.members
-                     else LIdeal(eta.parent, eta.parent.values))
-    return memo[key]
+        return (intersect_many(family.members) if family.members
+                else LIdeal(eta.parent, eta.parent.values))
+    return survey_memo(eta.parent, (kind, eta.ivalues), meet)
 
 
 def prime_radical(eta: LIdeal, cap: int = DEFAULT_CANDIDATE_CAP) -> LIdeal:

@@ -272,6 +272,17 @@ def test_verify_zero_checks_is_not_a_pass(tmp_path, capsys):
     assert json.loads(report.read_text())["records"] == []
 
 
+def test_verify_report_in_a_missing_directory_fails_before_the_run(
+        tmp_path, capsys):
+    report = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "verify", "--rings", "Z4", "--lattices",
+                         "chain2", "--report", str(report))
+    assert code == 1
+    assert out == ""  # no check ran, so no verdict was printed
+    assert err.startswith("error: --report: ") and "does not exist" in err
+    assert not report.parent.exists()
+
+
 def test_verify_report_is_json(tmp_path, capsys):
     report = tmp_path / "report.json"
     code, _, _ = run(capsys, "verify", "--rings", "Z4", "--lattices",

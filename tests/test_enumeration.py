@@ -19,10 +19,13 @@ against each other: a depth-first search by the pointwise inequalities and
 the level-cut survey. The reference for that verdict is the old sweep of
 the whole box below mu, judging every candidate by both characterizations.
 
-The ideal survey is also the memo for each ideal's prime and semiprime
-radical, and lets LIdeal skip validation for values it already lists. The
-references for those are the meets of the box-sweep ideals of each kind
-above an ideal, and full validation of every other candidate in the box.
+The ideal survey is also the memo for each ideal's prime, semiprime and
+pointwise radical and for sums of its ideals; it lets LIdeal skip
+validation for values it already lists, and the predicates read its
+flags. The references for those are the meets of the box-sweep ideals of
+each kind above an ideal, the pointwise radical and sum formulas, a
+direct evaluation of each predicate with the survey detached, and full
+validation of every other candidate in the box.
 
 Primary decompositions of crisp ideals are searched in the subring that
 holds them and nowhere else; every proper ideal of every subring of the
@@ -40,8 +43,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lrings import (FiniteLattice, LIdeal, LSubring, Subring, ideal_survey,
-                    is_prime, is_semiprime, make_lattice, make_ring,
-                    prime_radical, semiprime_radical)
+                    is_primary, is_prime, is_semiprime, make_lattice,
+                    make_ring, prime_radical, radical, semiprime_radical,
+                    sum_ideals)
 from lrings.core import (LSubset, ValidationError, ideal_inequality_search,
                          is_l_subring, level_cut_search, level_cuts_all_ideals,
                          satisfies_ideal_inequalities)
@@ -292,6 +296,33 @@ def box_meet(mu, ideals, lower):
     return out
 
 
+PREDICATES = (is_prime, is_semiprime, is_primary)
+
+
+def pointwise_radical(mu, eta):
+    """(rad eta)(x) = v [eta(x^n) ^ mu(x)] over x, x^2, ..., x^|R|, which
+    holds every power of x, as value indices."""
+    ring, lat = mu.ring, mu.lattice
+    out = []
+    for x in range(len(ring)):
+        acc, p = lat.index(lat.bottom), x
+        for _ in range(len(ring)):
+            acc = lat.join_i(acc, lat.meet_i(eta.ivalues[p], mu.ivalues[x]))
+            p = ring.mul_i(p, x)
+        out.append(acc)
+    return tuple(out)
+
+
+def pointwise_sum(f, g):
+    """(f+g)(x) = v { f(y) ^ g(z) : y + z = x }, as value indices."""
+    ring, lat = f.ring, f.lattice
+    out = [lat.index(lat.bottom)] * len(ring)
+    for y, z in itertools.product(range(len(ring)), repeat=2):
+        x = ring.add_i(y, z)
+        out[x] = lat.join_i(out[x], lat.meet_i(f.ivalues[y], g.ivalues[z]))
+    return tuple(out)
+
+
 def assert_survey_memo_matches_box(ring, lat):
     bot = lat.index(lat.bottom)
     for mu in _enumerate_mus(ring, lat, "all", DEFAULT_CANDIDATE_CAP):
@@ -320,9 +351,30 @@ def assert_survey_memo_matches_box(ring, lat):
                 with pytest.raises(ValidationError):
                     LIdeal(mu, c)
 
+        # radicals and sums asked twice (the second read from the memo), and
+        # the predicates' survey flags against a direct evaluation
+        survey = mu._survey
+        for eta in etas:
+            expected = pointwise_radical(mu, eta)
+            assert [radical(eta).ivalues for _ in range(2)] == [expected] * 2
+            flags = [f(eta) for f in PREDICATES]
+            mu._survey = None
+            assert [f(eta) for f in PREDICATES] == flags, (mu, eta)
+            mu._survey = survey
+        for a, b in itertools.combinations_with_replacement(etas, 2):
+            if a.zero_value() != b.zero_value():
+                continue
+            expected = pointwise_sum(a, b)
+            if expected in ideals:
+                assert [sum_ideals(a, b).ivalues for _ in range(2)] == \
+                    [expected] * 2
+            else:
+                for _ in range(2):
+                    with pytest.raises(ValidationError, match="not an ideal"):
+                        sum_ideals(a, b)
+
         # P and S agree on every carrier here, so the memo's split by kind
         # shows only on a survey that lists no semiprime ideal: S is mu
-        survey = mu._survey
         mu._survey = dataclasses.replace(
             survey, semiprime=(False,) * len(survey.ideals))
         for eta in etas:
@@ -351,6 +403,29 @@ def test_survey_memo_matches_box(ring, lat_name):
 def test_survey_memo_matches_box_on_drawn_lattices(lat, ring):
     assume(len(lat) ** len(ring) <= MAX_BOX)
     assert_survey_memo_matches_box(ring, lat)
+
+
+@pytest.mark.parametrize("lat_name", ["chain3", "m3"])
+@pytest.mark.parametrize("spec", ["Z6", "Z2xZ2"])
+def test_memo_readers_never_build_a_survey(spec, lat_name):
+    ring, lat = make_ring(spec), make_lattice(lat_name)
+    failed_sums = 0
+    for mu in _enumerate_mus(ring, lat, "all", DEFAULT_CANDIDATE_CAP):
+        etas = [LIdeal(mu, [lat.elements[i] for i in v])
+                for v in box_ideals(mu)]
+        for a in etas:
+            radical(a)
+            for f in PREDICATES:
+                f(a)
+            for b in etas:
+                if a.zero_value() == b.zero_value():
+                    try:
+                        sum_ideals(a, b)
+                    except ValidationError:
+                        failed_sums += 1
+        assert mu._survey is None
+    # on m3 some sums are not ideals, so the failure path is covered too
+    assert (failed_sums > 0) == (lat_name == "m3")
 
 
 # -- crisp ideals and subrings -------------------------------------------------
