@@ -262,6 +262,36 @@ def test_zero_cap_is_legal(capsys):
     assert err.startswith("unavailable: ")
 
 
+CAP_1_ERR = ("unavailable: level-cut search tried more than 1 cut "
+             "assignments (try smaller carriers or raise --cap)\n")
+
+
+@pytest.mark.parametrize("target", ["prime-radical", "semiprime-radical"])
+def test_compute_family_radical_cap_bounds_the_survey(target, capsys):
+    code, out, err = run(capsys, "compute", Z4, target, "eta_zero",
+                         "--cap", "1")
+    assert code == 2
+    assert out == "" and err == CAP_1_ERR
+
+
+def test_decompose_cap_bounds_the_survey_after_the_factors(capsys):
+    # the factors are built and printed; the reducedness report is the
+    # first to need the survey
+    code, out, err = run(capsys, "decompose", Z6, "eta_zero", "--cap", "1")
+    assert code == 2
+    assert out.startswith("factors (2):\n")
+    assert "reduced" not in out
+    assert err == CAP_1_ERR
+
+
+def test_compute_radical_ignores_the_cap(capsys):
+    # the pointwise radical never builds a survey
+    code, out, _ = run(capsys, "compute", Z4, "radical", "eta_zero",
+                       "--cap", "0")
+    assert code == 0
+    assert out == "0↦t 1↦m 2↦t 3↦m\n"
+
+
 def test_verify_zero_checks_is_not_a_pass(tmp_path, capsys):
     report = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "--rings", "Z4", "--lattices",
