@@ -40,7 +40,7 @@ for v, p, s, q in zip(survey.ideals, survey.prime, survey.semiprime,
     show(flags or "-", v)
 
 print("\nprime ideals above eta (the family whose meet is the prime radical):")
-for member in enumerate_family(eta, "prime").members:
+for member in enumerate_family(eta, "prime"):
     show("member", member)
 
 low = LIdeal(mu, ["m", "m", "m", "m"])

@@ -13,9 +13,9 @@ from .core import (LIdeal, LSubring, LSubset, ValidationError,
                    intersect_many, is_ideal_of, is_l_subring, level_cut,
                    level_subring, strong_cut, strong_subring, sum_ideals,
                    sum_subsets)
-from .radical import (IdealFamily, IdealSurvey, enumerate_family,
-                      ideal_survey, is_primary, is_prime, is_semiprime,
-                      prime_cap, prime_radical, radical, semiprime_radical)
+from .radical import (IdealSurvey, enumerate_family, ideal_survey,
+                      is_primary, is_prime, is_semiprime, prime_cap,
+                      prime_radical, radical, semiprime_radical)
 from .decomp import (Decomposition, DecompositionError, NoCrispDecomposition,
                      ReducednessReport, decompose, decompose_crisp_via_lift,
                      lift_crisp_primary, lift_reducedness, project_level,
@@ -30,7 +30,7 @@ __all__ = [
     "intersect_many", "is_ideal_of", "is_l_subring", "level_cut",
     "level_subring", "strong_cut", "strong_subring", "sum_ideals",
     "sum_subsets",
-    "IdealFamily", "IdealSurvey", "enumerate_family", "ideal_survey",
+    "IdealSurvey", "enumerate_family", "ideal_survey",
     "is_primary", "is_prime", "is_semiprime", "prime_cap", "prime_radical",
     "radical", "semiprime_radical",
     "Decomposition", "DecompositionError", "NoCrispDecomposition",

@@ -20,8 +20,9 @@ from .lattice import LatticeError, make_lattice
 from .rings import RingError, make_ring
 from .core import (LIdeal, LSubring, LSubset, ValidationError, level_cut,
                    strong_cut, sum_ideals)
-from .radical import (is_primary, is_prime, is_semiprime, prime_radical,
-                      radical, semiprime_radical, DEFAULT_CANDIDATE_CAP)
+from .radical import (ideal_survey, is_primary, is_prime, is_semiprime,
+                      prime_radical, radical, semiprime_radical,
+                      DEFAULT_CANDIDATE_CAP)
 from .decomp import DecompositionError, decompose
 from . import verify as verify_mod
 
@@ -124,9 +125,11 @@ def cmd_compute(args) -> int:
         if not isinstance(out, LIdeal):
             print("note: not an ideal of mu on this lattice")
     elif target == "prime-radical":
-        print(_print_subset(prime_radical(eta, cap=args.cap)))
+        ideal_survey(mu, cap=args.cap)
+        print(_print_subset(prime_radical(eta)))
     elif target == "semiprime-radical":
-        print(_print_subset(semiprime_radical(eta, cap=args.cap)))
+        ideal_survey(mu, cap=args.cap)
+        print(_print_subset(semiprime_radical(eta)))
     else:
         raise _UsageError(f"unknown compute target {target!r}")
     return 0
@@ -135,11 +138,12 @@ def cmd_compute(args) -> int:
 def cmd_decompose(args) -> int:
     lat, ring, mu, subsets = load_instance_file(args.file)
     eta = _get_ideal(mu, subsets, args.name)
-    dec = decompose(eta, cap=args.cap)
+    dec = decompose(eta)
     print(f"factors ({len(dec.factors)}):")
     for i, f in enumerate(dec.factors):
         print(f"  {i}: {_print_subset(f)}")
     print("intersection equals the target: yes")
+    ideal_survey(mu, cap=args.cap)  # the report reads prime radicals
     report = dec.report
     print(f"reduced: {'yes' if report.reduced else 'no'}"
           + ("" if report.reduced else f" ({report.describe()})"))
@@ -164,6 +168,8 @@ def cmd_verify(args) -> int:
     if args.report and not os.path.isdir(os.path.dirname(args.report) or "."):
         raise _UsageError(
             f"--report: the directory of {args.report!r} does not exist")
+    if args.report and os.path.isdir(args.report):
+        raise _UsageError(f"--report: {args.report!r} is a directory")
     params = verify_mod.SuiteParams(
         rings=_name_list("--rings", args.rings),
         lattices=_name_list("--lattices", args.lattices),

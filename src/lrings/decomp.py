@@ -11,6 +11,9 @@ Level projection goes the other way: cutting a decomposition at a lattice
 element and dropping factors whose cut fills the subring yields a crisp
 primary decomposition of the cut, which also powers the crisp-via-lift
 bridge and the reducedness transfer.
+
+Nothing here takes a candidate cap: the reducedness report reads prime
+radicals, which build a missing ideal survey with the default cap.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from typing import Iterable, Sequence
 from .errors import ConsistencyError
 from .core import (LIdeal, LSubring, LSubset, ValidationError, intersect_many,
                    level_cut, level_subring, strong_cut, strong_subring)
-from .radical import DEFAULT_CANDIDATE_CAP, is_primary, prime_radical
-from .rings import DECOMPOSITION_IDEAL_CAP, Subring
+from .radical import is_primary, prime_radical
+from .rings import Subring
 
 
 class DecompositionError(RuntimeError):
@@ -70,8 +73,7 @@ class ReducednessReport:
         return "not reduced: " + "; ".join(parts)
 
 
-def reducedness_report(factors: Sequence[LIdeal],
-                       cap: int = DEFAULT_CANDIDATE_CAP) -> ReducednessReport:
+def reducedness_report(factors: Sequence[LIdeal]) -> ReducednessReport:
     """A factor list is reduced when no factor contains the meet of the
     others and the prime radicals of the factors are pairwise distinct."""
     mu = factors[0].parent
@@ -81,7 +83,7 @@ def reducedness_report(factors: Sequence[LIdeal],
         inter = intersect_many(others) if others else mu
         if f.contains(inter):
             redundant.append(i)
-    radicals = [prime_radical(f, cap=cap) for f in factors]
+    radicals = [prime_radical(f) for f in factors]
     collisions = [(i, j)
                   for i in range(len(radicals))
                   for j in range(i + 1, len(radicals))
@@ -93,8 +95,7 @@ class Decomposition:
     """A target ideal together with primary factors whose meet is exactly
     the target. Construction re-checks both facts."""
 
-    def __init__(self, target: LIdeal, factors: Sequence[LIdeal],
-                 cap: int = DEFAULT_CANDIDATE_CAP):
+    def __init__(self, target: LIdeal, factors: Sequence[LIdeal]):
         if not factors:
             raise DecompositionError("a decomposition needs at least one factor")
         self.target = target
@@ -104,13 +105,12 @@ class Decomposition:
                 raise ValidationError(f"factor {f!r} is not primary")
         if intersect_many(self.factors).ivalues != target.ivalues:
             raise ValidationError("factors do not intersect to the target")
-        self._cap = cap
         self._report = None
 
     @property
     def report(self) -> ReducednessReport:
         if self._report is None:
-            self._report = reducedness_report(self.factors, cap=self._cap)
+            self._report = reducedness_report(self.factors)
         return self._report
 
     @property
@@ -155,8 +155,7 @@ def lift_crisp_primary(J: Iterable[str], low: str, high: str,
 # ---------------------------------------------------------------------------
 # the constructive decomposition
 
-def decompose(eta: LIdeal, crisp_cap: int = DECOMPOSITION_IDEAL_CAP,
-              cap: int = DEFAULT_CANDIDATE_CAP) -> Decomposition:
+def decompose(eta: LIdeal) -> Decomposition:
     """Primary decomposition of an ideal over a chain lattice.
 
     For each consecutive pair of image values t_i > t_next, the level cut
@@ -176,7 +175,7 @@ def decompose(eta: LIdeal, crisp_cap: int = DECOMPOSITION_IDEAL_CAP,
                     reverse=True)
     if len(levels) == 1:
         # a constant proper ideal is itself primary
-        return Decomposition(eta, [eta], cap=cap)
+        return Decomposition(eta, [eta])
 
     top_value = levels[0]
     factors = []
@@ -189,21 +188,20 @@ def decompose(eta: LIdeal, crisp_cap: int = DECOMPOSITION_IDEAL_CAP,
                 f"level cut at {levels[i]!r} fills the strong-cut subring at "
                 f"{t_next!r}; no proper crisp target to decompose",
                 level=t_next)
-        crisp = carrier.primary_decomposition(cut, cap=crisp_cap)
+        crisp = carrier.primary_decomposition(cut)
         if crisp is None:
             raise NoCrispDecomposition(
                 f"no crisp primary decomposition at level {t_next!r}",
                 level=t_next)
         for J in crisp:
             factors.append(lift_crisp_primary(J, t_next, top_value, mu))
-    dec = Decomposition(eta, factors, cap=cap)
+    dec = Decomposition(eta, factors)
     if intersect_many(dec.factors).ivalues != eta.ivalues:
         raise ConsistencyError("constructed factors missed the target")
     return dec
 
 
-def reduce_factors(dec: Decomposition,
-                   cap: int = DEFAULT_CANDIDATE_CAP) -> Decomposition:
+def reduce_factors(dec: Decomposition) -> Decomposition:
     """Convenience post-pass: greedily drop factors that the meet of the
     others already reproduces. Goes beyond the construction itself; the
     result still meets to the same target."""
@@ -217,7 +215,7 @@ def reduce_factors(dec: Decomposition,
                 del factors[i]
                 changed = True
                 break
-    return Decomposition(dec.target, factors, cap=cap)
+    return Decomposition(dec.target, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +302,7 @@ def lift_reducedness(dec: Decomposition, t: str) -> bool:
 # the crisp bridge
 
 def decompose_crisp_via_lift(I: Iterable[str], J: Subring,
-                             lattice, crisp_cap: int = DECOMPOSITION_IDEAL_CAP,
-                             cap: int = DEFAULT_CANDIDATE_CAP) -> list[frozenset]:
+                             lattice) -> list[frozenset]:
     """Primary decomposition of a crisp ideal I of a subring J, computed
     the long way round: lift both to two-valued L-subsets (bottom outside,
     top inside), decompose the lifted ideal, and project at top."""
@@ -321,5 +318,5 @@ def decompose_crisp_via_lift(I: Iterable[str], J: Subring,
     mu = LSubring(ring, lattice,
                   {x: (top if x in J.member_set else bot) for x in ring.elements})
     eta = LIdeal(mu, {x: (top if x in I else bot) for x in ring.elements})
-    dec = decompose(eta, crisp_cap=crisp_cap, cap=cap)
+    dec = decompose(eta)
     return project_level(dec, top, strong=False)

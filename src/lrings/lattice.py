@@ -153,29 +153,9 @@ class FiniteLattice:
     def join(self, a: str, b: str) -> str:
         return self.elements[self._join[self._req(a)][self._req(b)]]
 
-    def big_join(self, items: Iterable[str]) -> str:
-        """Least upper bound of a finite set; empty join is bottom."""
-        i = self._bot
-        for a in items:
-            i = self._join[i][self._req(a)]
-        return self.elements[i]
-
-    def big_meet(self, items: Iterable[str]) -> str:
-        """Greatest lower bound of a finite set; empty meet is top."""
-        i = self._top
-        for a in items:
-            i = self._meet[i][self._req(a)]
-        return self.elements[i]
-
     def classify(self) -> dict:
         return {"is_chain": self.is_chain,
                 "is_complete_heyting": self.is_complete_heyting}
-
-    def interval(self, lo: str, hi: str) -> list[str]:
-        """Elements a with lo <= a <= hi, sorted by the fixed linear extension."""
-        i, j = self._req(lo), self._req(hi)
-        picks = [k for k in self.linext if self._leq[i][k] and self._leq[k][j]]
-        return [self.elements[k] for k in picks]
 
     # index-level mirrors for hot loops
     def leq_i(self, i: int, j: int) -> bool:

@@ -19,8 +19,9 @@ its flags answer the predicates; and its index of values lets LIdeal
 reuse the verdict both characterizations gave when the survey was built.
 Only the prime and semiprime radicals build a survey; the pointwise
 radical, sums and predicates read one only once it is built. The
-candidate cap bounds the cut assignments the search tries; a cached
-survey is never refused.
+candidate cap is taken by `ideal_survey` alone and bounds the cut
+assignments its search tries; a cached survey is never refused, so a
+caller that wants a cap builds the survey with it first.
 """
 
 from __future__ import annotations
@@ -231,55 +232,44 @@ def ideal_survey(mu: LSubring, cap: int = DEFAULT_CANDIDATE_CAP) -> IdealSurvey:
     return survey
 
 
-@dataclass(frozen=True)
-class IdealFamily:
-    """The prime (or semiprime) ideals of a subring that contain a given
-    lower ideal."""
-    members: tuple[LIdeal, ...]
-    kind: str
-    lower: LIdeal
-
-
-def enumerate_family(eta: LIdeal, kind: str,
-                     cap: int = DEFAULT_CANDIDATE_CAP) -> IdealFamily:
+def enumerate_family(eta: LIdeal, kind: str) -> tuple[LIdeal, ...]:
     """All prime/semiprime ideals of the parent subring containing eta, in
     canonical order: the parent's ideal survey filtered by kind and by
-    containment. `cap` bounds only the building of that survey."""
+    containment."""
     if kind not in ("prime", "semiprime"):
         raise ValueError(f"kind must be 'prime' or 'semiprime', not {kind!r}")
-    survey = ideal_survey(eta.parent, cap=cap)
+    survey = ideal_survey(eta.parent)
     flags = survey.prime if kind == "prime" else survey.semiprime
-    members = tuple(v for v, ok in zip(survey.ideals, flags)
-                    if ok and v.contains(eta))
-    return IdealFamily(members=members, kind=kind, lower=eta)
+    return tuple(v for v, ok in zip(survey.ideals, flags)
+                 if ok and v.contains(eta))
 
 
-def _family_meet(eta: LIdeal, kind: str, cap: int) -> LIdeal:
+def _family_meet(eta: LIdeal, kind: str) -> LIdeal:
     """The meet of eta's family, kept in the memo of the survey it builds;
     a failure is not stored, so every later request raises it again."""
-    ideal_survey(eta.parent, cap=cap)
+    ideal_survey(eta.parent)
 
     def meet():
-        family = enumerate_family(eta, kind, cap=cap)
-        return (intersect_many(family.members) if family.members
+        members = enumerate_family(eta, kind)
+        return (intersect_many(members) if members
                 else LIdeal(eta.parent, eta.parent.values))
     return survey_memo(eta.parent, (kind, eta.ivalues), meet)
 
 
-def prime_radical(eta: LIdeal, cap: int = DEFAULT_CANDIDATE_CAP) -> LIdeal:
+def prime_radical(eta: LIdeal) -> LIdeal:
     """Meet of all prime ideals of the subring containing eta; the whole
     subring when there are none. Always an ideal, and always agrees with
     eta at zero."""
-    out = _family_meet(eta, "prime", cap)
+    out = _family_meet(eta, "prime")
     if out.zero_value() != eta.zero_value():
         raise ConsistencyError("prime radical changed the value at zero")
     return out
 
 
-def semiprime_radical(eta: LIdeal, cap: int = DEFAULT_CANDIDATE_CAP) -> LIdeal:
+def semiprime_radical(eta: LIdeal) -> LIdeal:
     """Meet of all semiprime ideals of the subring containing eta; the
     whole subring when there are none."""
-    return _family_meet(eta, "semiprime", cap)
+    return _family_meet(eta, "semiprime")
 
 
 # ---------------------------------------------------------------------------

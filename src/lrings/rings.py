@@ -110,10 +110,6 @@ class FiniteRing:
 
     # -- queries ---------------------------------------------------------
 
-    @property
-    def zero(self) -> str:
-        return self.elements[self._zero]
-
     def index(self, label: str) -> int:
         try:
             return self._index[label]
@@ -125,9 +121,6 @@ class FiniteRing:
 
     def mul(self, x: str, y: str) -> str:
         return self.elements[self._mul[self.index(x)][self.index(y)]]
-
-    def neg(self, x: str) -> str:
-        return self.elements[self._neg[self.index(x)]]
 
     # index-level mirrors
     def add_i(self, i, j):

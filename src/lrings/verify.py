@@ -9,6 +9,10 @@ Instance generation is exhaustive by default (every ideal of every chosen
 subring over the chosen carriers) and reproducibly sampled otherwise.
 Reports carry one record per (theorem, instance) and are byte-stable for
 fixed parameters and seed.
+
+The candidate cap is spent only by instance generation (listing the
+L-subrings and building their ideal surveys) and by T1.7's inequality
+search. The survey memo also keeps each decomposition, never a failure.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .core import (LIdeal, LSubring, LSubset, ValidationError,
                    ideal_inequality_search, intersect_many, level_cut,
                    level_cut_search, level_subring, level_cuts_all_ideals,
                    satisfies_ideal_inequalities, strong_cut, strong_subring,
-                   sum_ideals, sum_subsets)
+                   sum_ideals, sum_subsets, survey_memo)
 from .radical import (DEFAULT_CANDIDATE_CAP, enumerate_family, ideal_survey,
                       is_primary, is_prime, is_semiprime,
                       primary_by_inequalities, primary_by_level_cuts,
@@ -63,14 +67,13 @@ class SuiteParams:
     sample: int | None = None     # None = exhaustive
     seed: int = 0
     cap: int = DEFAULT_CANDIDATE_CAP
-    crisp_cap: int = DECOMPOSITION_IDEAL_CAP
     gate: bool = True
 
     def as_dict(self) -> dict:
         return {"rings": list(self.rings), "lattices": list(self.lattices),
                 "mu_mode": self.mu_mode, "sample": self.sample,
                 "seed": self.seed, "cap": self.cap,
-                "crisp_cap": self.crisp_cap, "gate": self.gate}
+                "crisp_cap": DECOMPOSITION_IDEAL_CAP, "gate": self.gate}
 
 
 @dataclass(frozen=True)
@@ -126,16 +129,18 @@ def _eta_label(eta: LIdeal) -> str:
     return "eta[" + ",".join(eta.values) + "]"
 
 
-def _enumerate_mus(ring, lat, mu_mode: str, cap: int) -> list[LSubring]:
-    if mu_mode == "top":
+def _enumerate_mus(ring, lat, params: SuiteParams) -> list[LSubring]:
+    if params.mu_mode == "top":
         return [LSubring.constant_top(ring, lat)]
-    if mu_mode != "all":
-        raise ValueError(f"mu_mode must be 'top' or 'all', not {mu_mode!r}")
+    if params.mu_mode != "all":
+        raise ValueError(
+            f"mu_mode must be 'top' or 'all', not {params.mu_mode!r}")
     # an L-subset is an L-subring exactly when its non-empty level cuts
     # are crisp subrings
     subrings = Subring.whole(ring).subrings()
     return [LSubring(ring, lat, [lat.elements[i] for i in v])
-            for v in level_cut_search(ring, lat, lambda a: subrings, cap)]
+            for v in level_cut_search(ring, lat, lambda a: subrings,
+                                          params.cap)]
 
 
 def generate_instances(params: SuiteParams):
@@ -148,7 +153,7 @@ def generate_instances(params: SuiteParams):
         for lname in params.lattices:
             lat = make_lattice(lname)
             base = f"{ring.name}/{lat.name or 'lattice'}"
-            for mu in _enumerate_mus(ring, lat, params.mu_mode, params.cap):
+            for mu in _enumerate_mus(ring, lat, params):
                 survey = ideal_survey(mu, cap=params.cap)
                 mlab = f"{base}/{_mu_label(mu)}"
                 ideals = survey.ideals
@@ -230,41 +235,25 @@ def _all_gates(*gates):
 # ---------------------------------------------------------------------------
 # checkers; return None on pass, a detail string on failure
 
-class _Ctx:
-    def __init__(self, params: SuiteParams):
-        self.cap = params.cap
-        self.crisp_cap = params.crisp_cap
-        self._dec_memo = {}
-
-    def P(self, eta):
-        return prime_radical(eta, cap=self.cap)
-
-    def S(self, eta):
-        return semiprime_radical(eta, cap=self.cap)
-
-    def decompose(self, eta):
-        key = (id(eta.parent), eta.ivalues)
-        if key not in self._dec_memo:
-            try:
-                self._dec_memo[key] = decompose(
-                    eta, crisp_cap=self.crisp_cap, cap=self.cap)
-            except DecompositionError as e:
-                self._dec_memo[key] = e
-        out = self._dec_memo[key]
-        if isinstance(out, NoCrispDecomposition):
-            raise SkipCheck(f"no crisp decomposition (level {out.level!r})")
-        if isinstance(out, DecompositionError):
-            raise SkipCheck(str(out))
-        return out
+def _decompose(eta):
+    """decompose(eta), kept in the memo of eta's survey; a failure is not
+    stored, so every request raises it again, as a skip."""
+    try:
+        return survey_memo(eta.parent, ("dec", eta.ivalues),
+                           lambda: decompose(eta))
+    except NoCrispDecomposition as e:
+        raise SkipCheck(f"no crisp decomposition (level {e.level!r})")
+    except DecompositionError as e:
+        raise SkipCheck(str(e))
 
 
-def _check_t1_7(inst, ctx):
+def _check_t1_7(inst, params):
     # Two complete enumerators of the ideals of mu, one per
     # characterization, must list the same set, and each member must pass
     # both characterizations when asked directly.
     mu = inst.mu
-    by_def = set(ideal_inequality_search(mu, ctx.cap))
-    by_levels = set(ideal_survey(mu, cap=ctx.cap).index)
+    by_def = set(ideal_inequality_search(mu, params.cap))
+    by_levels = set(ideal_survey(mu, cap=params.cap).index)
     rank = mu.lattice._rank
     for v in sorted(by_def | by_levels, key=lambda v: [rank[i] for i in v]):
         cand = LSubset._make(mu.ring, mu.lattice, v)
@@ -279,7 +268,7 @@ def _check_t1_7(inst, ctx):
     return None
 
 
-def _check_l1_4(inst, ctx):
+def _check_l1_4(inst, params):
     mu = inst.mu
     lat = mu.lattice
     for r in lat.elements:
@@ -298,7 +287,7 @@ def _check_l1_4(inst, ctx):
     return None
 
 
-def _check_l1_10(inst, ctx):
+def _check_l1_10(inst, params):
     eta = inst.ideals[0]
     if sum_subsets(eta, eta).ivalues != eta.ivalues:
         return "eta + eta != eta"
@@ -308,7 +297,7 @@ def _check_l1_10(inst, ctx):
     return None
 
 
-def _check_l1_11(inst, ctx):
+def _check_l1_11(inst, params):
     a, b = inst.ideals
     try:
         s = sum_ideals(a, b)
@@ -319,10 +308,10 @@ def _check_l1_11(inst, ctx):
     return None
 
 
-def _check_t2_4(inst, ctx):
+def _check_t2_4(inst, params):
     eta = inst.ideals[0]
     try:
-        p = ctx.P(eta)
+        p = prime_radical(eta)
     except ConsistencyError as e:
         return str(e)
     if p.zero_value() != eta.zero_value():
@@ -330,16 +319,16 @@ def _check_t2_4(inst, ctx):
     return None
 
 
-def _check_t2_6(inst, ctx):
+def _check_t2_6(inst, params):
     if not is_semiprime(inst.ideals[0]):
         return "prime ideal is not semiprime"
     return None
 
 
-def _check_t2_9(inst, ctx):
+def _check_t2_9(inst, params):
     eta = inst.ideals[0]
     r = radical(eta)
-    s = ctx.S(eta)
+    s = semiprime_radical(eta)
     if not s.contains(r):
         return "radical not contained in semiprime radical"
     if not inst.mu.contains(s):
@@ -347,23 +336,24 @@ def _check_t2_9(inst, ctx):
     return None
 
 
-def _check_t2_10(inst, ctx):
+def _check_t2_10(inst, params):
     a, b = inst.ideals
     for eta in (a, b):
-        r, s, p = radical(eta), ctx.S(eta), ctx.P(eta)
+        r, s, p = radical(eta), semiprime_radical(eta), prime_radical(eta)
         if not (s.contains(r) and p.contains(s) and inst.mu.contains(p)):
             return f"chain rad<=S<=P<=mu broken for {_eta_label(eta)}"
     for lo, hi in ((a, b), (b, a)):
-        if hi.contains(lo) and not ctx.P(hi).contains(ctx.P(lo)):
+        if hi.contains(lo) and not prime_radical(hi).contains(
+                prime_radical(lo)):
             return "P is not monotone"
     both = intersect_many([a, b])
-    meet_p = intersect_many([ctx.P(a), ctx.P(b)])
-    if not meet_p.contains(ctx.P(both)):
+    meet_p = intersect_many([prime_radical(a), prime_radical(b)])
+    if not meet_p.contains(prime_radical(both)):
         return "P(eta ^ theta) escapes P(eta) ^ P(theta)"
     return None
 
 
-def _check_t2_11(inst, ctx):
+def _check_t2_11(inst, params):
     eta = inst.ideals[0]
     fixed = radical(eta).ivalues == eta.ivalues
     if is_semiprime(eta) != fixed:
@@ -371,10 +361,9 @@ def _check_t2_11(inst, ctx):
     return None
 
 
-def _check_t2_12(inst, ctx):
+def _check_t2_12(inst, params):
     eta = inst.ideals[0]
-    fam = enumerate_family(eta, "semiprime", cap=ctx.cap)
-    members = fam.members
+    members = enumerate_family(eta, "semiprime")
     if not members:
         return None
     groups = [members] + [(members[i], members[j])
@@ -387,23 +376,23 @@ def _check_t2_12(inst, ctx):
     return None
 
 
-def _check_t2_13(inst, ctx):
+def _check_t2_13(inst, params):
     eta = inst.ideals[0]
-    p = ctx.P(eta)
-    if ctx.P(p).ivalues != p.ivalues:
+    p = prime_radical(eta)
+    if prime_radical(p).ivalues != p.ivalues:
         return "P(P(eta)) != P(eta)"
     if radical(p).ivalues != p.ivalues:
         return "rad(P(eta)) != P(eta)"
     return None
 
 
-def _check_t2_14(inst, ctx):
+def _check_t2_14(inst, params):
     if not isinstance(radical(inst.ideals[0]), LIdeal):
         return "radical is not an ideal on a complete Heyting lattice"
     return None
 
 
-def _check_t2_15(inst, ctx):
+def _check_t2_15(inst, params):
     a, b = inst.ideals
     for lo, hi in ((a, b), (b, a)):
         if hi.contains(lo) and not radical(hi).contains(radical(lo)):
@@ -411,20 +400,20 @@ def _check_t2_15(inst, ctx):
     return None
 
 
-def _check_t2_16(inst, ctx):
+def _check_t2_16(inst, params):
     eta = inst.ideals[0]
     r = radical(eta)
     if not isinstance(r, LIdeal):
         return "radical is not an ideal"
-    p = ctx.P(eta)
-    if ctx.P(r).ivalues != p.ivalues:
+    p = prime_radical(eta)
+    if prime_radical(r).ivalues != p.ivalues:
         return "P(rad(eta)) != P(eta)"
     if radical(p).ivalues != p.ivalues:
         return "rad(P(eta)) != P(eta)"
     return None
 
 
-def _check_t2_17(inst, ctx):
+def _check_t2_17(inst, params):
     a, b = inst.ideals
     ra, rb = radical(a), radical(b)
     if not (isinstance(ra, LIdeal) and isinstance(rb, LIdeal)):
@@ -434,17 +423,17 @@ def _check_t2_17(inst, ctx):
     rs = radical(s)
     if not isinstance(rs, LIdeal):
         return "rad(eta + theta) failed to be an ideal"
-    p_rsum = ctx.P(rsum)
+    p_rsum = prime_radical(rsum)
     if not p_rsum.contains(rsum):
         return "rad-sum escapes its prime radical"
-    if p_rsum.ivalues != ctx.P(rs).ivalues:
+    if p_rsum.ivalues != prime_radical(rs).ivalues:
         return "P(rad eta + rad theta) != P(rad(eta + theta))"
-    if p_rsum.ivalues != ctx.P(s).ivalues:
+    if p_rsum.ivalues != prime_radical(s).ivalues:
         return "P(rad eta + rad theta) != P(eta + theta)"
     return None
 
 
-def _check_t2_19(inst, ctx):
+def _check_t2_19(inst, params):
     eta = inst.ideals[0]
     by_def = primary_by_inequalities(eta)
     by_levels = primary_by_level_cuts(eta)
@@ -453,7 +442,7 @@ def _check_t2_19(inst, ctx):
     return None
 
 
-def _check_t2_20(inst, ctx):
+def _check_t2_20(inst, params):
     r = radical(inst.ideals[0])
     if not isinstance(r, LIdeal):
         return "radical of a primary ideal is not an ideal"
@@ -462,67 +451,67 @@ def _check_t2_20(inst, ctx):
     return None
 
 
-def _check_t2_21(inst, ctx):
+def _check_t2_21(inst, params):
     eta = inst.ideals[0]
     r = radical(eta)
-    p, s = ctx.P(eta), ctx.S(eta)
+    p, s = prime_radical(eta), semiprime_radical(eta)
     if not (p.ivalues == r.ivalues == s.ivalues):
         return "P, rad and S differ on a primary ideal"
     return None
 
 
-def _check_c2_22(inst, ctx):
-    if not is_prime(ctx.P(inst.ideals[0])):
+def _check_c2_22(inst, params):
+    if not is_prime(prime_radical(inst.ideals[0])):
         return "prime radical of a primary ideal is not prime"
     return None
 
 
-def _check_t2_23(inst, ctx):
+def _check_t2_23(inst, params):
     eta = inst.ideals[0]
-    p, r, s = ctx.P(eta), radical(eta), ctx.S(eta)
+    p, r, s = prime_radical(eta), radical(eta), semiprime_radical(eta)
     if not (p.ivalues == eta.ivalues == r.ivalues == s.ivalues):
         return "P = eta = rad = S fails on a prime ideal"
     return None
 
 
-def _check_t2_24(inst, ctx):
+def _check_t2_24(inst, params):
     eta = inst.ideals[0]
-    p = ctx.P(eta)
-    if ctx.P(ctx.S(eta)).ivalues != p.ivalues:
+    p = prime_radical(eta)
+    if prime_radical(semiprime_radical(eta)).ivalues != p.ivalues:
         return "P(S(eta)) != P(eta)"
-    if ctx.S(p).ivalues != p.ivalues:
+    if semiprime_radical(p).ivalues != p.ivalues:
         return "S(P(eta)) != P(eta)"
     return None
 
 
-def _check_t2_25(inst, ctx):
+def _check_t2_25(inst, params):
     a, b = inst.ideals
-    pa, pb = ctx.P(a), ctx.P(b)
+    pa, pb = prime_radical(a), prime_radical(b)
     try:
         psum = sum_ideals(pa, pb)
-        total = ctx.P(sum_ideals(a, b))
+        total = prime_radical(sum_ideals(a, b))
     except ValidationError as e:
         raise SkipCheck(f"a required sum is not an ideal here: {e}")
-    if not ctx.P(psum).contains(psum):
+    if not prime_radical(psum).contains(psum):
         return "P-sum escapes its prime radical"
-    if ctx.P(psum).ivalues != total.ivalues:
+    if prime_radical(psum).ivalues != total.ivalues:
         return "P(P(eta) + P(theta)) != P(eta + theta)"
     return None
 
 
-def _check_c2_26(inst, ctx):
+def _check_c2_26(inst, params):
     a, b = inst.ideals
     s = sum_ideals(a, b)
-    psum = sum_ideals(ctx.P(a), ctx.P(b))
+    psum = sum_ideals(prime_radical(a), prime_radical(b))
     r1, r2 = radical(s), radical(psum)
     if not r2.contains(r1):
         return "rad(eta + theta) escapes rad(P(eta) + P(theta))"
-    if not ctx.P(s).contains(r2):
+    if not prime_radical(s).contains(r2):
         return "rad(P(eta) + P(theta)) escapes P(eta + theta)"
     return None
 
 
-def _check_l3_4(inst, ctx):
+def _check_l3_4(inst, params):
     eta = inst.ideals[0]
     mu = inst.mu
     for t in mu.lattice.elements:
@@ -535,7 +524,7 @@ def _check_l3_4(inst, ctx):
     return None
 
 
-def _check_l3_7(inst, ctx):
+def _check_l3_7(inst, params):
     eta = inst.ideals[0]
     mu = inst.mu
     for t in mu.lattice.elements:
@@ -550,7 +539,7 @@ def _check_l3_7(inst, ctx):
     return None
 
 
-def _check_l3_8(inst, ctx):
+def _check_l3_8(inst, params):
     a, b = inst.ideals
     both = intersect_many([a, b])
     for t in a.lattice.elements:
@@ -559,7 +548,7 @@ def _check_l3_8(inst, ctx):
     return None
 
 
-def _check_l3_11(inst, ctx):
+def _check_l3_11(inst, params):
     a, b = inst.ideals
     both = intersect_many([a, b])
     for t in a.lattice.elements:
@@ -568,7 +557,7 @@ def _check_l3_11(inst, ctx):
     return None
 
 
-def _check_l3_15(inst, ctx):
+def _check_l3_15(inst, params):
     eta = inst.ideals[0]
     mu = inst.mu
     r = radical(eta)
@@ -586,14 +575,14 @@ def _check_l3_15(inst, ctx):
     return None
 
 
-def _check_t3_5(inst, ctx):
-    ctx.decompose(inst.ideals[0])  # validates intersection and primality
+def _check_t3_5(inst, params):
+    _decompose(inst.ideals[0])  # validates intersection and primality
     return None
 
 
-def _check_t3_9(inst, ctx):
+def _check_t3_9(inst, params):
     eta = inst.ideals[0]
-    dec = ctx.decompose(eta)
+    dec = _decompose(eta)
     mu = inst.mu
     for t in mu.lattice.elements:
         sc = strong_cut(eta, t)
@@ -606,9 +595,9 @@ def _check_t3_9(inst, ctx):
     return None
 
 
-def _check_t3_16(inst, ctx):
+def _check_t3_16(inst, params):
     eta = inst.ideals[0]
-    dec = ctx.decompose(eta)
+    dec = _decompose(eta)
     mu = inst.mu
     for t in mu.lattice.elements:
         cut = level_cut(eta, t)
@@ -722,7 +711,8 @@ _BY_ID = {t.ident: t for t in THEOREMS}
 
 def check_theorem(ident: str, inst: Instance,
                   params: SuiteParams | None = None) -> CheckRecord:
-    """Run one theorem check against one instance."""
+    """Run one theorem check against one instance. `params.cap` bounds only
+    T1.7; build inst.mu's survey first with `ideal_survey` to bound the rest."""
     if ident not in _BY_ID:
         raise ValueError(f"unknown theorem id {ident!r}; valid ids: "
                          + ", ".join(THEOREM_IDS))
@@ -731,17 +721,17 @@ def check_theorem(ident: str, inst: Instance,
     needed = 2 if spec.scope == "pair" else 1
     if len(inst.ideals) < needed:
         raise ValueError(f"{ident} needs {needed} ideal(s) in the instance")
-    return _run_check(spec, inst, _Ctx(params), gate=params.gate)
+    return _run_check(spec, inst, params)
 
 
-def _run_check(spec: TheoremSpec, inst: Instance, ctx: _Ctx,
-               gate: bool) -> CheckRecord:
-    if gate:
+def _run_check(spec: TheoremSpec, inst: Instance,
+               params: SuiteParams) -> CheckRecord:
+    if params.gate:
         reason = spec.gate(inst)
         if reason:
             return CheckRecord(spec.ident, inst.label, "SKIP", reason)
     try:
-        detail = spec.check(inst, ctx)
+        detail = spec.check(inst, params)
     except SkipCheck as e:
         return CheckRecord(spec.ident, inst.label, "SKIP", str(e))
     except CapExceeded as e:
@@ -776,13 +766,12 @@ def run_suite(params: SuiteParams, ids=None) -> SuiteResult:
             seen.add(key)
             mu_insts.append(Instance(inst.label.rsplit("/", 1)[0],
                                      inst.mu, ()))
-    ctx = _Ctx(params)
     reports, records = [], []
     for spec in specs:
         pool = {"one": singles, "pair": pairs, "mu": mu_insts}[spec.scope]
         rep = TheoremReport(spec.ident, spec.clause)
         for inst in pool:
-            rec = _run_check(spec, inst, ctx, gate=params.gate)
+            rec = _run_check(spec, inst, params)
             records.append(rec)
             rep.checked += 1
             if rec.status == "PASS":

@@ -313,6 +313,19 @@ def test_verify_report_in_a_missing_directory_fails_before_the_run(
     assert not report.parent.exists()
 
 
+@pytest.mark.parametrize("extra", [[], ["--mu", "all", "--lattices", "m3",
+                                        "--no-hypothesis-gate"]],
+                         ids=["pass", "fail"])
+def test_verify_report_naming_a_directory_fails_before_the_run(
+        extra, tmp_path, capsys):
+    # neither a passing run's exit 0 nor a failing run's exit 3 is reached
+    code, out, err = run(capsys, "verify", "--rings", "Z4", "--lattices",
+                         "chain2", *extra, "--report", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --report: {str(tmp_path)!r} is a directory\n"
+
+
 def test_verify_report_is_json(tmp_path, capsys):
     report = tmp_path / "report.json"
     code, _, _ = run(capsys, "verify", "--rings", "Z4", "--lattices",

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -225,7 +226,7 @@ def test_lift_reducedness_at_infimum_of_mu(z6_setup):
     # with constant-top mu the meet of all values is t and the level
     # subring there is the whole ring
     mu = z6_setup.mu
-    t0 = mu.lattice.big_meet(mu.values)
+    t0 = functools.reduce(mu.lattice.meet, mu.values)
     assert t0 == "t"
     assert level_cut(mu, t0) == frozenset(mu.ring.elements)
     dec = decompose(z6_setup.ideal("eta_zero"))

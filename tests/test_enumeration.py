@@ -52,7 +52,10 @@ from lrings.core import (LSubset, ValidationError, ideal_inequality_search,
 from lrings.errors import CapExceeded, ConsistencyError
 from lrings.rings import RingError
 from lrings.radical import DEFAULT_CANDIDATE_CAP
-from lrings.verify import Instance, _enumerate_mus, check_theorem
+from lrings.verify import (Instance, SuiteParams, _enumerate_mus,
+                           check_theorem)
+
+ALL_MUS = SuiteParams(mu_mode="all")  # every L-subring, default cap
 
 # additive group Z2 x Z2 with zero multiplication: no unity, and every
 # additive subgroup (the diagonal included) is an ideal
@@ -109,12 +112,12 @@ def box_ideals(mu):
                 LSubset._make(mu.ring, lat, combo), mu)]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(closure_lattices(), st.sampled_from(RINGS), st.data())
 def test_level_cut_search_matches_box_sweeps(lat, ring, data):
     assume(len(lat) ** len(ring) <= MAX_BOX)
     subrings = box_subrings(ring, lat)
-    found = _enumerate_mus(ring, lat, "all", DEFAULT_CANDIDATE_CAP)
+    found = _enumerate_mus(ring, lat, ALL_MUS)
     assert [mu.ivalues for mu in found] == subrings
 
     if data.draw(st.booleans(), label="constant top"):
@@ -143,7 +146,7 @@ def per_cut_level_check(nu, mu):
 
 def assert_level_side_matches_per_cut_check(ring, lat):
     bot = lat.index(lat.bottom)
-    for mu in _enumerate_mus(ring, lat, "all", DEFAULT_CANDIDATE_CAP):
+    for mu in _enumerate_mus(ring, lat, ALL_MUS):
         digits = [lat.interval_i(bot, v) for v in mu.ivalues]
         for combo in itertools.product(*digits):
             nu = LSubset._make(ring, lat, combo)
@@ -157,7 +160,7 @@ def test_level_side_matches_per_cut_check(ring, lat_name):
     assert_level_side_matches_per_cut_check(ring, make_lattice(lat_name))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(closure_lattices(), st.sampled_from(RINGS))
 def test_level_side_matches_per_cut_check_on_drawn_lattices(lat, ring):
     assume(len(lat) ** len(ring) <= MAX_BOX)
@@ -225,15 +228,15 @@ def assert_t1_7_matches_box(mu):
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
 def test_t1_7_matches_box_sweep(ring, lat_name):
     lat = make_lattice(lat_name)
-    for mu in _enumerate_mus(ring, lat, "all", DEFAULT_CANDIDATE_CAP):
+    for mu in _enumerate_mus(ring, lat, ALL_MUS):
         assert_t1_7_matches_box(mu)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(closure_lattices(), st.sampled_from(RINGS), st.data())
 def test_t1_7_matches_box_sweep_on_drawn_lattices(lat, ring, data):
     assume(len(lat) ** len(ring) <= MAX_BOX)
-    mus = _enumerate_mus(ring, lat, "all", DEFAULT_CANDIDATE_CAP)
+    mus = _enumerate_mus(ring, lat, ALL_MUS)
     assert_t1_7_matches_box(data.draw(st.sampled_from(mus), label="mu"))
 
 
@@ -325,7 +328,7 @@ def pointwise_sum(f, g):
 
 def assert_survey_memo_matches_box(ring, lat):
     bot = lat.index(lat.bottom)
-    for mu in _enumerate_mus(ring, lat, "all", DEFAULT_CANDIDATE_CAP):
+    for mu in _enumerate_mus(ring, lat, ALL_MUS):
         labels = [[lat.elements[i] for i in c] for c in itertools.product(
             *(lat.interval_i(bot, v) for v in mu.ivalues))]
         # validated in full: the survey does not exist yet
@@ -398,7 +401,7 @@ def test_survey_memo_matches_box(ring, lat_name):
     assert_survey_memo_matches_box(ring, make_lattice(lat_name))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(closure_lattices(), st.sampled_from(RINGS))
 def test_survey_memo_matches_box_on_drawn_lattices(lat, ring):
     assume(len(lat) ** len(ring) <= MAX_BOX)
@@ -410,7 +413,7 @@ def test_survey_memo_matches_box_on_drawn_lattices(lat, ring):
 def test_memo_readers_never_build_a_survey(spec, lat_name):
     ring, lat = make_ring(spec), make_lattice(lat_name)
     failed_sums = 0
-    for mu in _enumerate_mus(ring, lat, "all", DEFAULT_CANDIDATE_CAP):
+    for mu in _enumerate_mus(ring, lat, ALL_MUS):
         etas = [LIdeal(mu, [lat.elements[i] for i in v])
                 for v in box_ideals(mu)]
         for a in etas:
@@ -485,6 +488,5 @@ def test_zn_ideals_and_subrings_are_the_multiples_of_divisors(n):
 
 def test_all_l_subrings_of_z24_over_chain2():
     # the cut at the top is empty or one of Z24's eight subrings
-    mus = _enumerate_mus(make_ring("Z24"), make_lattice("chain2"), "all",
-                         DEFAULT_CANDIDATE_CAP)
+    mus = _enumerate_mus(make_ring("Z24"), make_lattice("chain2"), ALL_MUS)
     assert len(mus) == 9

@@ -100,14 +100,13 @@ def test_semiprime_iff_radical_fixed(z4_setup, z6_setup):
 def test_family_above_eta_zero(z4_setup):
     eta0, eta2 = z4_setup.ideal("eta_zero"), z4_setup.ideal("eta_even")
     fam = enumerate_family(eta0, "prime")
-    assert [m.ivalues for m in fam.members] == [eta2.ivalues]
+    assert [m.ivalues for m in fam] == [eta2.ivalues]
     fam2 = enumerate_family(eta0, "semiprime")
-    assert [m.ivalues for m in fam2.members] == [eta2.ivalues]
+    assert [m.ivalues for m in fam2] == [eta2.ivalues]
 
 
 def test_family_above_whole_subring_is_empty(z4_setup):
-    fam = enumerate_family(as_ideal_of_self(z4_setup.mu), "prime")
-    assert fam.members == ()
+    assert enumerate_family(as_ideal_of_self(z4_setup.mu), "prime") == ()
 
 
 def test_family_kind_validated(z4_setup):
@@ -124,11 +123,11 @@ def test_family_cap_counts_cut_assignments():
     eta = fx.ideal("eta_zero")
     for cap in (5, 13):
         with pytest.raises(CapExceeded) as err:
-            enumerate_family(eta, "prime", cap=cap)
+            ideal_survey(fx.mu, cap=cap)
         assert err.value.size == cap + 1
         assert fx.mu._survey is None
-    fam = enumerate_family(eta, "prime", cap=14)
-    assert [m.ivalues for m in fam.members] == \
+    assert len(ideal_survey(fx.mu, cap=14).ideals) == 10
+    assert [m.ivalues for m in enumerate_family(eta, "prime")] == \
         [fx.ideal("eta_even").ivalues]
     assert len(ideal_survey(fx.mu, cap=0).ideals) == 10
 
@@ -137,10 +136,12 @@ def test_cached_survey_is_never_refused():
     fx = fixtures.z4_chain3()
     eta0, eta2 = fx.ideal("eta_zero"), fx.ideal("eta_even")
     with pytest.raises(CapExceeded):
-        prime_radical(eta0, cap=1)
+        ideal_survey(fx.mu, cap=1)
+    assert fx.mu._survey is None
     ideal_survey(fx.mu)
-    assert prime_radical(eta0, cap=1).ivalues == eta2.ivalues
-    assert semiprime_radical(eta0, cap=0).ivalues == eta2.ivalues
+    assert ideal_survey(fx.mu, cap=0) is fx.mu._survey
+    assert prime_radical(eta0).ivalues == eta2.ivalues
+    assert semiprime_radical(eta0).ivalues == eta2.ivalues
 
 
 def test_survey_canonical_order(z4_setup):
