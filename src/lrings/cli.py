@@ -3,9 +3,9 @@
 Subcommands: validate, compute, decompose, verify. Instance files are
 JSON documents with "lattice", "ring" and "subsets" keys; see the README
 for the schema. Exit codes: 0 success / all checks passed, 1 validation
-or usage error, 2 computation unavailable (cap or hypothesis; for verify,
-any check skipped for a cap, or no check run at all), 3 theorem failures
-found.
+or usage error (argparse's own usage errors included), 2 computation
+unavailable (cap or hypothesis; for verify, any check skipped for a cap,
+or no check run at all), 3 theorem failures found.
 """
 
 from __future__ import annotations
@@ -29,6 +29,13 @@ from . import verify as verify_mod
 
 class _UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as _UsageError (exit 1), not SystemExit(2)."""
+
+    def error(self, message):
+        raise _UsageError(message)
 
 
 def load_instance_file(path):
@@ -127,11 +134,9 @@ def cmd_compute(args) -> int:
     elif target == "prime-radical":
         ideal_survey(mu, cap=args.cap)
         print(_print_subset(prime_radical(eta)))
-    elif target == "semiprime-radical":
+    else:  # semiprime-radical; argparse rejects any other target
         ideal_survey(mu, cap=args.cap)
         print(_print_subset(semiprime_radical(eta)))
-    else:
-        raise _UsageError(f"unknown compute target {target!r}")
     return 0
 
 
@@ -194,7 +199,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="lrings",
         description="radicals and primary decompositions of ideals in "
                     "lattice-valued subrings, plus a theorem survey")
@@ -246,9 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "cap", 0) < 0:
             raise _UsageError(f"--cap must not be negative, got {args.cap}")
         return args.func(args)

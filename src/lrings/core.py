@@ -93,13 +93,6 @@ class LSubset:
         leq = self.lattice.leq_i
         return all(leq(a, b) for a, b in zip(other.ivalues, self.ivalues))
 
-    def meet(self, other: "LSubset") -> "LSubset":
-        if not self.same_carrier(other):
-            raise ValidationError("carriers differ")
-        m = self.lattice.meet_i
-        return LSubset._make(self.ring, self.lattice,
-                             tuple(m(a, b) for a, b in zip(self.ivalues, other.ivalues)))
-
     def __eq__(self, other):
         return (isinstance(other, LSubset) and self.same_carrier(other)
                 and self.ivalues == other.ivalues)
@@ -436,8 +429,7 @@ def sum_ideals(a: LIdeal, b: LIdeal) -> LIdeal:
     non-distributive lattices it can fail to be one (joins of incomparable
     values can break the level structure); that raises a ValidationError
     naming the situation."""
-    if a.parent is not b.parent and a.parent != b.parent:
-        raise ValidationError("ideals of different L-subrings")
+    _require_one_parent((a, b))
     if a.zero_value() != b.zero_value():
         raise ValidationError(
             f"values at zero differ ({a.zero_value()} vs {b.zero_value()}); "
@@ -463,27 +455,33 @@ def _sum_ideals(a: LIdeal, b: LIdeal) -> LIdeal:
     return out
 
 
-def intersect_many(fs: Sequence[LSubset]):
-    """Pointwise big-meet of a non-empty family. Returns an LIdeal when
-    every input is an LIdeal of the same parent (their intersection always
-    is one), otherwise a plain LSubset."""
+def _require_one_parent(ideals: Sequence[LIdeal]) -> None:
+    """Ideals may be combined only within one L-subring: the same object,
+    or one with equal values on the same carrier."""
+    parent = ideals[0].parent
+    for f in ideals[1:]:
+        if f.parent is not parent and f.parent != parent:
+            raise ValidationError("ideals of different L-subrings")
+
+
+def intersect_many(fs: Sequence[LIdeal]) -> LIdeal:
+    """Pointwise big-meet of a non-empty family of ideals of one L-subring,
+    as an ideal of the first one's parent; a meet of ideals is always an
+    ideal, so one that fails to validate raises ConsistencyError."""
     if not fs:
         raise ValidationError("empty family")
     first = fs[0]
     for f in fs[1:]:
         if not first.same_carrier(f):
             raise ValidationError("carriers differ")
+    _require_one_parent(fs)
     meet = first.lattice.meet_i
     vals = list(first.ivalues)
     for f in fs[1:]:
         vals = [meet(a, b) for a, b in zip(vals, f.ivalues)]
-    raw = LSubset._make(first.ring, first.lattice, tuple(vals))
-    if all(isinstance(f, LIdeal) for f in fs):
-        parents = {id(f.parent) for f in fs}
-        if len(parents) == 1:
-            try:
-                return LIdeal(fs[0].parent, raw.values)
-            except ValidationError as e:
-                raise ConsistencyError(
-                    f"intersection of ideals failed to validate: {e}") from e
-    return raw
+    els = first.lattice.elements
+    try:
+        return LIdeal(first.parent, [els[i] for i in vals])
+    except ValidationError as e:
+        raise ConsistencyError(
+            f"intersection of ideals failed to validate: {e}") from e

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError
-from .core import (LIdeal, LSubring, LSubset, ValidationError, intersect_many,
+from .core import (LIdeal, LSubring, ValidationError, intersect_many,
                    level_cut, level_subring, strong_cut, strong_subring)
 from .radical import is_primary, prime_radical
 from .rings import Subring
@@ -51,14 +51,10 @@ class ReducednessReport:
     """Evidence for (ir)redundancy and radical distinctness of a factor
     list: redundant factor indices and colliding prime-radical pairs."""
 
-    def __init__(self, redundant, collisions, factor_prime_radicals):
+    def __init__(self, redundant, collisions):
         self.redundant = tuple(redundant)
         self.collisions = tuple(collisions)
-        self.factor_prime_radicals = tuple(factor_prime_radicals)
         self.reduced = not self.redundant and not self.collisions
-
-    def __bool__(self):
-        return self.reduced
 
     def describe(self) -> str:
         if self.reduced:
@@ -88,7 +84,7 @@ def reducedness_report(factors: Sequence[LIdeal]) -> ReducednessReport:
                   for i in range(len(radicals))
                   for j in range(i + 1, len(radicals))
                   if radicals[i].ivalues == radicals[j].ivalues]
-    return ReducednessReport(redundant, collisions, radicals)
+    return ReducednessReport(redundant, collisions)
 
 
 class Decomposition:
@@ -139,12 +135,10 @@ def lift_crisp_primary(J: Iterable[str], low: str, high: str,
     if not carrier.is_primary_ideal(J):
         raise ValidationError(
             f"{sorted(J)} is not a primary ideal of the strong cut at {low!r}")
-    hi, lo = lat.index(high), lat.index(low)
-    two = LSubset._make(mu.ring, lat,
-                        tuple(hi if x in J else lo for x in mu.ring.elements))
-    lifted = two.meet(mu)
+    lifted = [lat.meet(high if x in J else low, v)
+              for x, v in zip(mu.ring.elements, mu.values)]
     try:
-        out = LIdeal(mu, lifted.values)
+        out = LIdeal(mu, lifted)
     except ValidationError as e:
         raise ConsistencyError(f"lifted factor failed to validate: {e}") from e
     if not is_primary(out):
@@ -195,10 +189,7 @@ def decompose(eta: LIdeal) -> Decomposition:
                 level=t_next)
         for J in crisp:
             factors.append(lift_crisp_primary(J, t_next, top_value, mu))
-    dec = Decomposition(eta, factors)
-    if intersect_many(dec.factors).ivalues != eta.ivalues:
-        raise ConsistencyError("constructed factors missed the target")
-    return dec
+    return Decomposition(eta, factors)
 
 
 def reduce_factors(dec: Decomposition) -> Decomposition:

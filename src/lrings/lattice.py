@@ -94,7 +94,7 @@ class FiniteLattice:
     def _req(self, label: str) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise LatticeError(f"unknown lattice element {label!r}") from None
 
     def _bound(self, i: int, j: int, lower: bool) -> int:
@@ -184,8 +184,6 @@ def make_lattice(spec) -> FiniteLattice:
     """Build a lattice from a name ("chain3", "m3", "square"), a
     {"chain": [...]} shorthand, or {"elements": [...], "leq": [[a,b],...]}.
     A malformed description raises LatticeError."""
-    if isinstance(spec, FiniteLattice):
-        return spec
     try:
         return _lattice_from_spec(spec)
     except LatticeError:

@@ -163,8 +163,6 @@ def make_ring(spec) -> FiniteRing:
     """Build a ring from "Zn", "ZnxZm..", {"zn": n}, {"product": [...]},
     or explicit {"elements", "add", "mul"} tables (row-major labels).
     A malformed description raises RingError."""
-    if isinstance(spec, FiniteRing):
-        return spec
     try:
         return _ring_from_spec(spec)
     except RingError:
@@ -233,12 +231,6 @@ class Subring:
                     raise RingError(
                         f"not closed under multiplication: "
                         f"{r.elements[i]!r} * {r.elements[j]!r}")
-
-    def __len__(self):
-        return len(self.members)
-
-    def __contains__(self, label):
-        return label in self.member_set
 
     def __repr__(self):
         return f"<Subring of {self.ring.name}: {{{', '.join(self.members)}}}>"
@@ -369,19 +361,20 @@ class Subring:
             raise ConsistencyError("radical of an ideal is not an ideal")
         return self._to_labels(rad)
 
-    def primary_decomposition(self, I: Iterable[str],
-                              cap: int = DECOMPOSITION_IDEAL_CAP):
+    def primary_decomposition(self, I: Iterable[str]):
         """Minimal-cardinality list of primary ideals intersecting to I,
         or None when no subset of the primary ideals works. Search is
         exhaustive over subsets, smallest first, in ideal enumeration
-        order; rings with more than `cap` ideals are rejected."""
+        order; rings with more than DECOMPOSITION_IDEAL_CAP ideals (read
+        at call time) are rejected with CapExceeded."""
         idx = self._require_ideal(I)
         if idx == self._members_i:
             raise RingError("only proper ideals have primary decompositions")
         all_ideals = self.ideals()
-        if len(all_ideals) > cap:
+        if len(all_ideals) > DECOMPOSITION_IDEAL_CAP:
             raise CapExceeded(
-                f"{len(all_ideals)} ideals exceed the decomposition cap {cap}",
+                f"{len(all_ideals)} ideals exceed the decomposition cap "
+                f"{DECOMPOSITION_IDEAL_CAP}",
                 size=len(all_ideals))
         primaries = [J for J in all_ideals if self.is_primary_ideal(J)]
         target = self._to_labels(idx)
@@ -391,15 +384,5 @@ class Subring:
                 for J in combo:
                     inter &= J
                 if inter == target:
-                    self._check_decomposition(list(combo), target)
                     return list(combo)
         return None
-
-    def _check_decomposition(self, factors, target):
-        inter = self.member_set
-        for J in factors:
-            if not self.is_primary_ideal(J):
-                raise ConsistencyError("decomposition factor is not primary")
-            inter &= J
-        if inter != target:
-            raise ConsistencyError("decomposition does not intersect to target")

@@ -2,8 +2,9 @@
 
 Every supported statement has an id, a short clause, an instance shape
 (one ideal, a pair with matching zero values, or the bare subring), a
-hypothesis gate and a checker. Gated checks are skipped (never failed)
-when the hypotheses do not hold; an exploratory mode can disable gating.
+tuple of gates and a checker. The gates run in order, and the first one
+that gives a reason skips the check (never fails it); an exploratory mode
+can disable gating.
 
 Instance generation is exhaustive by default (every ideal of every chosen
 subring over the chosen carriers) and reproducibly sampled otherwise.
@@ -53,10 +54,6 @@ class Instance:
     @property
     def lattice(self):
         return self.mu.lattice
-
-    @property
-    def ring(self):
-        return self.mu.ring
 
 
 @dataclass
@@ -221,15 +218,6 @@ def _gate_radical_proper(inst):
     if radical(inst.ideals[0]).ivalues == inst.mu.ivalues:
         return "radical is the whole subring (degenerate for primality)"
     return None
-
-def _all_gates(*gates):
-    def gate(inst):
-        for g in gates:
-            reason = g(inst)
-            if reason:
-                return reason
-        return None
-    return gate
 
 
 # ---------------------------------------------------------------------------
@@ -611,11 +599,9 @@ def _check_t3_16(inst, params):
         if any(level_cut(f, t) == mcut for f in dec.factors):
             continue  # reducedness transfer needs every factor to survive
         try:
-            crisp_reduced = lift_reducedness(dec, t)
+            lift_reducedness(dec, t)  # raises if reduced here, not upstairs
         except ConsistencyError as e:
             return str(e)
-        if crisp_reduced and not dec.reduced:
-            return f"reduced at level {t!r} but not reduced upstairs"
     return None
 
 
@@ -624,85 +610,81 @@ def _check_t3_16(inst, params):
 
 @dataclass(frozen=True)
 class TheoremSpec:
+    """One statement of the survey. `gates` hold its premises and carrier
+    hypotheses: functions of an instance, run in order, each giving a skip
+    reason or None; the first reason skips the check."""
     ident: str
     clause: str
     scope: str           # "one" | "pair" | "mu"
-    gate: object
+    gates: tuple
     check: object
 
 
-_NO_GATE = lambda inst: None
-
 THEOREMS = [
     TheoremSpec("T1.7", "ideal inequalities agree with the level criterion",
-                "mu", _NO_GATE, _check_t1_7),
+                "mu", (), _check_t1_7),
     TheoremSpec("L1.4", "strong cuts are subrings; higher level cuts nest",
-                "mu", _gate_chain, _check_l1_4),
+                "mu", (_gate_chain,), _check_l1_4),
     TheoremSpec("L1.10", "eta + eta = eta and mu + mu = mu",
-                "one", _NO_GATE, _check_l1_10),
+                "one", (), _check_l1_10),
     TheoremSpec("L1.11", "sums of ideals with equal zero value are ideals "
                          "containing both",
-                "pair", _all_gates(_gate_heyting, _gate_zero_match),
-                _check_l1_11),
-    TheoremSpec("T2.4", "P(eta)(0) = eta(0)", "one", _NO_GATE, _check_t2_4),
+                "pair", (_gate_heyting, _gate_zero_match), _check_l1_11),
+    TheoremSpec("T2.4", "P(eta)(0) = eta(0)", "one", (), _check_t2_4),
     TheoremSpec("T2.6", "prime ideals are semiprime",
-                "one", _gate_prime, _check_t2_6),
-    TheoremSpec("T2.9", "rad(eta) <= S(eta) <= mu", "one", _NO_GATE, _check_t2_9),
+                "one", (_gate_prime,), _check_t2_6),
+    TheoremSpec("T2.9", "rad(eta) <= S(eta) <= mu", "one", (), _check_t2_9),
     TheoremSpec("T2.10", "rad <= S <= P <= mu; P monotone; P(meet) <= meet of P",
-                "pair", _NO_GATE, _check_t2_10),
+                "pair", (), _check_t2_10),
     TheoremSpec("T2.11", "semiprime iff fixed by the radical",
-                "one", _gate_proper, _check_t2_11),
+                "one", (_gate_proper,), _check_t2_11),
     TheoremSpec("T2.12", "intersections of semiprime ideals are semiprime",
-                "one", _NO_GATE, _check_t2_12),
+                "one", (), _check_t2_12),
     TheoremSpec("T2.13", "P(P(eta)) = P(eta) = rad(P(eta))",
-                "one", _NO_GATE, _check_t2_13),
+                "one", (), _check_t2_13),
     TheoremSpec("T2.14", "the radical is an ideal",
-                "one", _gate_heyting, _check_t2_14),
+                "one", (_gate_heyting,), _check_t2_14),
     TheoremSpec("T2.15", "the radical is monotone",
-                "pair", _NO_GATE, _check_t2_15),
+                "pair", (), _check_t2_15),
     TheoremSpec("T2.16", "P(rad(eta)) = P(eta) = rad(P(eta))",
-                "one", _gate_heyting, _check_t2_16),
+                "one", (_gate_heyting,), _check_t2_16),
     TheoremSpec("T2.17", "rad-sum <= P(rad-sum) = P(rad(sum)) = P(sum)",
-                "pair", _all_gates(_gate_heyting, _gate_zero_match),
-                _check_t2_17),
+                "pair", (_gate_heyting, _gate_zero_match), _check_t2_17),
     TheoremSpec("T2.19", "primary inequalities agree with the level criterion",
-                "one", _NO_GATE, _check_t2_19),
+                "one", (), _check_t2_19),
     TheoremSpec("T2.20", "the radical of a primary ideal is prime",
-                "one", _all_gates(_gate_primary, _gate_radical_proper),
-                _check_t2_20),
+                "one", (_gate_primary, _gate_radical_proper), _check_t2_20),
     TheoremSpec("T2.21", "P(eta) = rad(eta) = S(eta) for primary eta",
-                "one", _gate_primary, _check_t2_21),
+                "one", (_gate_primary,), _check_t2_21),
     TheoremSpec("C2.22", "P of a primary ideal is prime",
-                "one", _all_gates(_gate_primary, _gate_radical_proper),
-                _check_c2_22),
+                "one", (_gate_primary, _gate_radical_proper), _check_c2_22),
     TheoremSpec("T2.23", "P(eta) = eta = rad(eta) = S(eta) for prime eta",
-                "one", _gate_prime, _check_t2_23),
+                "one", (_gate_prime,), _check_t2_23),
     TheoremSpec("T2.24", "P(S(eta)) = P(eta) = S(P(eta))",
-                "one", _NO_GATE, _check_t2_24),
+                "one", (), _check_t2_24),
     TheoremSpec("T2.25", "P-sum <= P(P-sum) = P(sum)",
-                "pair", _gate_zero_match, _check_t2_25),
+                "pair", (_gate_zero_match,), _check_t2_25),
     TheoremSpec("C2.26", "rad(sum) <= rad(P-sum) <= P(sum)",
-                "pair", _all_gates(_gate_heyting, _gate_zero_match),
-                _check_c2_26),
+                "pair", (_gate_heyting, _gate_zero_match), _check_c2_26),
     TheoremSpec("L3.4", "strong cuts of an ideal are crisp ideals of the "
                         "strong cuts of mu",
-                "one", _gate_chain, _check_l3_4),
+                "one", (_gate_chain,), _check_l3_4),
     TheoremSpec("L3.7", "strong cuts of a primary ideal are full or primary",
-                "one", _all_gates(_gate_chain, _gate_primary), _check_l3_7),
+                "one", (_gate_chain, _gate_primary), _check_l3_7),
     TheoremSpec("L3.8", "strong cuts commute with meets",
-                "pair", _gate_chain, _check_l3_8),
+                "pair", (_gate_chain,), _check_l3_8),
     TheoremSpec("L3.11", "level cuts commute with meets",
-                "pair", _NO_GATE, _check_l3_11),
+                "pair", (), _check_l3_11),
     TheoremSpec("L3.15", "cuts of the radical are crisp radicals of the cuts",
-                "one", _NO_GATE, _check_l3_15),
+                "one", (), _check_l3_15),
     TheoremSpec("T3.5", "a chain-valued ideal with decomposable strong cuts "
                         "has a primary decomposition",
-                "one", _all_gates(_gate_chain, _gate_proper), _check_t3_5),
+                "one", (_gate_chain, _gate_proper), _check_t3_5),
     TheoremSpec("T3.9", "decompositions project to proper strong cuts",
-                "one", _all_gates(_gate_chain, _gate_proper), _check_t3_9),
+                "one", (_gate_chain, _gate_proper), _check_t3_9),
     TheoremSpec("T3.16", "decompositions project to level cuts and "
                          "reducedness lifts back",
-                "one", _all_gates(_gate_chain, _gate_proper), _check_t3_16),
+                "one", (_gate_chain, _gate_proper), _check_t3_16),
 ]
 
 THEOREM_IDS = [t.ident for t in THEOREMS]
@@ -727,9 +709,10 @@ def check_theorem(ident: str, inst: Instance,
 def _run_check(spec: TheoremSpec, inst: Instance,
                params: SuiteParams) -> CheckRecord:
     if params.gate:
-        reason = spec.gate(inst)
-        if reason:
-            return CheckRecord(spec.ident, inst.label, "SKIP", reason)
+        for gate in spec.gates:
+            reason = gate(inst)
+            if reason:
+                return CheckRecord(spec.ident, inst.label, "SKIP", reason)
     try:
         detail = spec.check(inst, params)
     except SkipCheck as e:

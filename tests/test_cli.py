@@ -82,14 +82,28 @@ GOOD_DOC = {"lattice": "chain2", "ring": "Z2",
     {"ring": {"elements": ["0"], "add": 3, "mul": [["0"]]}},
     {"lattice": {"chain": 5}},
     {"lattice": "chainx"},
+    {"subsets": {"eta": {"0": ["t"], "1": "b"}}},
+    {"subsets": {"eta": ["t"]}},
 ], ids=["subset-int", "subset-str", "subsets-list", "mu-list", "zn-str", "empty-product",
-        "table-int", "chain-int", "chain-name"])
+        "table-int", "chain-int", "chain-name", "value-list", "list-too-short"])
 def test_malformed_instance_exits_1(tmp_path, capsys, change):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps({**GOOD_DOC, **change}))
     code, _, err = run(capsys, "validate", str(f))
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [
+    [GOOD_DOC],
+    {k: v for k, v in GOOD_DOC.items() if k != "ring"},
+], ids=["top-level-list", "no-ring"])
+def test_malformed_document_exits_1(tmp_path, capsys, doc):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(f))
+    assert code == 1
+    assert out == "" and err.startswith("error: ") and "instance file" in err
 
 
 def test_directory_instance_exits_1(tmp_path, capsys):
@@ -129,6 +143,12 @@ def test_compute_sum(capsys):
     code, out, _ = run(capsys, "compute", Z6, "sum", "eta_even", "eta_triple")
     assert code == 0
     assert out.strip() == " ".join(f"{i}↦t" for i in range(6))
+
+
+def test_compute_semiprime_radical(capsys):
+    code, out, _ = run(capsys, "compute", Z4, "semiprime-radical", "eta_zero")
+    assert code == 0
+    assert out == "0↦t 1↦m 2↦t 3↦m\n"
 
 
 def test_compute_unknown_name(capsys):
@@ -237,6 +257,28 @@ def test_verify_empty_list_is_a_usage_error(flag, capsys):
     code, out, err = run(capsys, "verify", flag, ",")
     assert code == 1
     assert out == "" and err == f"error: {flag} names nothing\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--mu", "bogus"], "argument --mu: invalid choice"),
+    (["verify", "--cap", "abc"], "argument --cap: invalid int value"),
+    (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+    (["compute", Z4, "cut", "eta_even"], "cut needs --at LEVEL"),
+    (["compute", Z6, "sum", "eta_even"], "sum needs a second ideal name"),
+], ids=["bad-choice", "bad-int", "unknown-flag", "no-command", "cut-no-at",
+        "sum-one-name"])
+def test_usage_error_exits_1(argv, message, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == "" and err.startswith(f"error: {message}")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: lrings")
 
 
 def test_verify_negative_sample_is_a_usage_error(capsys):

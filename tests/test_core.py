@@ -243,6 +243,23 @@ def test_intersection_errors(z4_setup, z6_setup):
                         z6_setup.ideal("eta_zero")])
 
 
+def test_meets_and_sums_agree_on_one_l_subring(z4_setup):
+    mu = z4_setup.mu
+    a = z4_setup.ideal("eta_zero")
+    # a second LSubring object with mu's values is the same L-subring
+    twin = LSubring(mu.ring, mu.lattice, mu.values)
+    b = LIdeal(twin, z4_setup.ideal("eta_even").values)
+    both = intersect_many([a, b])
+    assert isinstance(both, LIdeal) and both.ivalues == a.ivalues
+    assert sum_ideals(a, b).ivalues == b.ivalues
+    # an L-subring with other values is another one
+    other = LSubring(mu.ring, mu.lattice, ["t", "m", "t", "m"])
+    c = LIdeal(other, ["t", "m", "m", "m"])
+    for combine in (intersect_many, lambda fs: sum_ideals(*fs)):
+        with pytest.raises(ValidationError, match="different L-subrings"):
+            combine([a, c])
+
+
 def test_level_cuts_commute_with_meets(z4_setup):
     a, b = z4_setup.ideal("eta_zero"), z4_setup.ideal("eta_even")
     both = intersect_many([a, b])

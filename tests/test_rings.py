@@ -195,10 +195,11 @@ def test_decomposition_requires_proper():
         z4.primary_decomposition(z4.member_set)
 
 
-def test_decomposition_cap():
+def test_decomposition_cap(monkeypatch):
     _, z12 = ideals_of("Z12")
+    monkeypatch.setattr("lrings.rings.DECOMPOSITION_IDEAL_CAP", 3)
     with pytest.raises(CapExceeded):
-        z12.primary_decomposition({"0"}, cap=3)
+        z12.primary_decomposition({"0"})
 
 
 # -- power orbits -------------------------------------------------------------
