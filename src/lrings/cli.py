@@ -127,10 +127,7 @@ def cmd_compute(args) -> int:
         return 0
     eta = _get_ideal(mu, subsets, args.name)
     if target == "radical":
-        out = radical(eta)
-        print(_print_subset(out))
-        if not isinstance(out, LIdeal):
-            print("note: not an ideal of mu on this lattice")
+        print(_print_subset(radical(eta)))
     elif target == "prime-radical":
         ideal_survey(mu, cap=args.cap)
         print(_print_subset(prime_radical(eta)))

@@ -1,7 +1,8 @@
 """Prime, semiprime and primary ideals of an L-subring, and the three
 radicals: the pointwise radical, the semiprime radical (meet of the
 semiprime ideals above), and the prime radical (meet of the prime ideals
-above, defaulting to the whole subring when there are none).
+above, defaulting to the whole subring when there are none). All three
+are ideals of the subring on every finite lattice.
 
 Quantifiers over positive integer powers are decided exactly: the power
 sequence of a ring element cycles within |R| steps, so "for some n" and
@@ -144,19 +145,23 @@ def is_primary(eta: LIdeal) -> bool:
 # ---------------------------------------------------------------------------
 # pointwise radical
 
-def radical(eta: LIdeal):
+def radical(eta: LIdeal) -> LIdeal:
     """Pointwise join of eta over all powers, capped by the subring:
-    (rad eta)(x) = v_n [eta(x^n) ^ mu(x)].
+    (rad eta)(x) = v_n [eta(x^n) ^ mu(x)]. It is an ideal of mu on every
+    finite lattice, so a result that fails to validate is an internal
+    error (ConsistencyError).
 
-    Returns an LIdeal whenever the result is an ideal of the subring; that
-    is guaranteed on complete Heyting lattices (a failure there is an
-    internal error) and on other lattices a plain LSubset is returned
-    instead, so callers can isinstance-check ideal validity."""
+    Proof sketch, using only meets and finiteness: the product inequality
+    makes a_n = eta(x^n) ^ mu(x) rise with n, and the powers of x are
+    eventually periodic, so the join is the eventual term a_N. Each term
+    of (x - y)^(2N) holds x^k or y^k with k >= N, so eta takes at least
+    rad(x) ^ rad(y) on it, and (xy)^N = x^N y^N gives rad(xy) >= mu(x) ^
+    rad(y) and, symmetrically, rad(x) ^ mu(y). The README has it in full."""
     return survey_memo(eta.parent, ("rad", eta.ivalues),
                        lambda: _radical(eta))
 
 
-def _radical(eta: LIdeal):
+def _radical(eta: LIdeal) -> LIdeal:
     mu = eta.parent
     r, lat = eta.ring, eta.lattice
     meet, join = lat.meet_i, lat.join_i
@@ -173,11 +178,8 @@ def _radical(eta: LIdeal):
         raise ConsistencyError("radical escaped eta <= rad(eta) <= mu")
     try:
         return LIdeal(mu, raw.values)
-    except ValidationError:
-        if lat.is_complete_heyting:
-            raise ConsistencyError(
-                "radical failed to be an ideal on a complete Heyting lattice")
-        return raw
+    except ValidationError as e:
+        raise ConsistencyError(f"radical failed to be an ideal: {e}") from e
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ def sha256(text: str) -> str:
 
 GOLDEN = [
     (dict(rings=("Z4",), lattices=("chain3", "m3")), None,
-     "8b85eeac262c828f24dca23feb0685dd91c93a06139764ae4236b9736c79ec4b",
-     "360a147e5088a1e203eeb913c6fa3f59eefcae875150b3226b8f5c7b7d0ddd35"),
+     "05db848671f2102fa4007f8ebefaa39f1c5044b6e04f8ee31b60562f62a44932",
+     "aea044188856fcab6325fa7003b6cdd855cc3346a085612602f63c76aa1d4fb8"),
     (dict(rings=("Z2xZ2",), lattices=("square",)), None,
      "4c123b3bdaf4bef174ffd48eb13f8c86acd79e7ec7cef68ec1d8b78d21f0f531",
      "7a923979b703c78f65318b841c73de2675d424cd437992f3c02dbe5635504932"),

@@ -5,7 +5,7 @@ from lrings import (CapExceeded, FiniteLattice, FiniteRing, LIdeal, LSubring,
                     ideal_survey, is_primary, is_prime, is_semiprime,
                     make_lattice, make_ring, prime_cap, prime_radical, radical,
                     semiprime_radical)
-from lrings.verify import Instance, check_theorem
+from lrings.verify import Instance, SuiteParams, _enumerate_mus, check_theorem
 from lrings.radical import primary_by_inequalities, primary_by_level_cuts
 
 
@@ -81,9 +81,31 @@ def test_radical_of_whole_subring(z4_setup):
     assert radical(mu).ivalues == z4_setup.mu.ivalues
 
 
-def test_radical_is_ideal_on_chains(z4_setup):
-    for eta in ideal_survey(z4_setup.mu).ideals:
-        assert isinstance(radical(eta), LIdeal)
+# the pentagon: 0 < a < b < 1 and 0 < c < 1, neither modular nor Heyting
+N5 = FiniteLattice(["0", "a", "b", "c", "1"],
+                   [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")],
+                   name="n5")
+
+
+def test_radical_is_ideal_on_every_lattice():
+    # T2.14 and T2.16 use only meets and finiteness: on every L-subring
+    # over non-distributive lattices the radical is an ideal, semiprime
+    # unless it is mu, and P(rad eta) = P(eta) = rad(P(eta)). Z2xZ2 and Z6
+    # have no nilpotents, so there rad(eta) = eta; Z4 and Z8 have them.
+    checked = 0
+    for rname in ("Z2xZ2", "Z4", "Z6", "Z8"):
+        for lat in (make_lattice("m3"), N5):
+            for mu in _enumerate_mus(make_ring(rname), lat,
+                                     SuiteParams(mu_mode="all")):
+                for eta in ideal_survey(mu).ideals:
+                    r = radical(eta)
+                    assert isinstance(r, LIdeal)
+                    assert is_semiprime(r) or r.ivalues == mu.ivalues
+                    p = prime_radical(eta)
+                    assert prime_radical(r).ivalues == p.ivalues
+                    assert radical(p).ivalues == p.ivalues
+                    checked += 1
+    assert checked == 3710
 
 
 def test_semiprime_iff_radical_fixed(z4_setup, z6_setup):

@@ -1,5 +1,6 @@
 import pytest
 
+from lrings import LIdeal
 from lrings.verify import (CheckRecord, Instance, SuiteParams, SuiteResult,
                            THEOREM_IDS, TheoremReport, check_theorem,
                            generate_instances, render_json, render_text,
@@ -100,6 +101,16 @@ def test_check_theorem_unknown_id(z4_setup):
         check_theorem("T9.99", inst)
 
 
+def test_check_theorem_rejects_pair_with_different_zero_values(z4_setup):
+    # eta_zero(0) = t, while the constant-bottom ideal is b at zero
+    mu = z4_setup.mu
+    low = LIdeal(mu, ["b"] * 4)
+    inst = Instance("z4/mismatch", mu, (z4_setup.ideal("eta_zero"), low))
+    for ident in ("L1.11", "T2.10", "T2.17", "T2.25", "C2.26"):
+        with pytest.raises(ValueError, match="equal zero values"):
+            check_theorem(ident, inst)
+
+
 # -- suite ---------------------------------------------------------------------------
 
 def test_suite_empty_ids():
@@ -122,7 +133,7 @@ def test_suite_all_green_on_small_carriers():
 
 def test_suite_skips_heyting_checks_on_m3():
     result = run_suite(params(rings=("Z4",), lattices=("m3",)),
-                       ids=["T2.14", "T2.16"])
+                       ids=["L1.11", "T2.17", "C2.26"])
     assert result.ok
     for r in result.reports:
         assert r.skipped == r.checked
