@@ -5,7 +5,8 @@ JSON documents with "lattice", "ring" and "subsets" keys; see the README
 for the schema. Exit codes: 0 success / all checks passed, 1 validation
 or usage error (argparse's own usage errors included), 2 computation
 unavailable (cap or hypothesis; for verify, any check skipped for a cap,
-or no check run at all), 3 theorem failures found.
+or no check run at all), 3 theorem failures found, or two
+characterizations that must agree disagree (printed as "inconsistent:").
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import os
 import sys
 
-from .errors import CapExceeded
+from .errors import CapExceeded, ConsistencyError
 from .lattice import LatticeError, make_lattice
 from .rings import RingError, make_ring
 from .core import (LIdeal, LSubring, LSubset, ValidationError, level_cut,
@@ -267,6 +268,9 @@ def main(argv=None) -> int:
     except DecompositionError as e:
         print(f"unavailable: {e}", file=sys.stderr)
         return 2
+    except ConsistencyError as e:
+        print(f"inconsistent: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -299,13 +299,12 @@ def _cut_subring(mu: LSubset, a: int, strong: bool) -> Subring:
         memo = mu._cut_subrings = {}
     sub = memo.get((a, strong))
     if sub is None:
-        ring, lat = mu.ring, mu.lattice
-        cut = [x for x, v in zip(ring.elements, mu.ivalues)
-               if lat.leq_i(a, v) and not (strong and v == a)]
+        label = mu.lattice.elements[a]
+        cut = (strong_cut if strong else level_cut)(mu, label)
         if not cut:
             raise ValidationError(f"{'strong' if strong else 'level'} cut at "
-                                  f"{lat.elements[a]!r} is empty")
-        sub = memo[(a, strong)] = Subring(ring, cut)
+                                  f"{label!r} is empty")
+        sub = memo[(a, strong)] = Subring(mu.ring, cut)
     return sub
 
 

@@ -7,7 +7,10 @@ subring enumeration, prime/primary tests, radicals, and minimal primary
 decompositions, all decided exactly (power searches stop when the power
 sequence cycles, which it must in a finite ring). Ideals and subrings are
 generated as closures of generators, so their cost grows with the number
-found rather than with the 2^n subsets of the carrier.
+found rather than with the 2^n subsets of the carrier. Each closure is
+checked against the definition once, when the table is built; after that,
+"is I an ideal" is a lookup in the table, for is_ideal and for the ideal
+that a primality test, radical or decomposition is asked about.
 """
 
 from __future__ import annotations
@@ -258,11 +261,12 @@ class Subring:
         return True
 
     def is_ideal(self, I: Iterable[str]) -> bool:
-        return self._is_ideal_i(self._to_idx(I))
+        """Read from the verified table of ideals (see _closures)."""
+        return self._to_idx(I) in self._closures(True)
 
     def _require_ideal(self, I: Iterable[str]) -> frozenset:
         idx = self._to_idx(I)
-        if not self._is_ideal_i(idx):
+        if idx not in self._closures(True):
             raise RingError(f"{sorted(I)} is not an ideal of {self!r}")
         return idx
 
@@ -352,12 +356,12 @@ class Subring:
 
     def radical_of(self, I: Iterable[str]) -> frozenset:
         """Elements with some positive power inside I. Always an ideal of
-        this subring; that is re-checked on every call."""
+        this subring; that is looked up in the table on every call."""
         idx = self._require_ideal(I)
         r = self.ring
         rad = frozenset(i for i in self._members_i
                         if any(p in idx for p in r.power_values_i(i, 1)))
-        if not self._is_ideal_i(rad):
+        if rad not in self._closures(True):
             raise ConsistencyError("radical of an ideal is not an ideal")
         return self._to_labels(rad)
 

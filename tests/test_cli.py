@@ -1,3 +1,4 @@
+import importlib
 import json
 from pathlib import Path
 
@@ -376,3 +377,29 @@ def test_verify_report_is_json(tmp_path, capsys):
     doc = json.loads(report.read_text())
     assert doc["summary"][0]["theorem"] == "T2.4"
     assert all(rec["status"] == "PASS" for rec in doc["records"])
+
+
+# -- inconsistency -------------------------------------------------------------
+
+def test_verify_inconsistent_characterizations_exit_3(monkeypatch, capsys):
+    # a disagreement while the survey is built is caught by no checker
+    core = importlib.import_module("lrings.core")
+    levels = core.level_cuts_all_ideals
+    monkeypatch.setattr(core, "level_cuts_all_ideals",
+                        lambda nu, mu: not levels(nu, mu))
+    code, out, err = run(capsys, "verify", "--rings", "Z4", "--lattices",
+                         "chain2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("inconsistent: ideal characterizations disagree")
+
+
+def test_validate_inconsistent_characterizations_exit_3(monkeypatch, capsys):
+    # the attribute lrings.radical is the function, not the module
+    radical_mod = importlib.import_module("lrings.radical")
+    levels = radical_mod.primary_by_level_cuts
+    monkeypatch.setattr(radical_mod, "primary_by_level_cuts",
+                        lambda eta: not levels(eta))
+    code, _, err = run(capsys, "validate", Z4)
+    assert code == 3
+    assert err.startswith("inconsistent: primary characterizations disagree")

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from lrings import CapExceeded, FiniteRing, RingError, Subring, make_ring
@@ -118,6 +120,35 @@ def test_prime_implies_primary_everywhere():
         for I in s.ideals():
             if s.is_prime_ideal(I):
                 assert s.is_primary_ideal(I)
+
+
+# -- the verified table against the definition ------------------------------
+
+_KLEIN = ["0", "a", "b", "c"]
+ZERO_MUL_KLEIN = {  # additive group Z2 x Z2, every product zero
+    "elements": _KLEIN,
+    "add": [[_KLEIN[i ^ j] for j in range(4)] for i in range(4)],
+    "mul": [["0"] * 4 for _ in _KLEIN],
+}
+
+
+@pytest.mark.parametrize("spec", ["Z4", "Z6", "Z8", "Z2xZ2", ZERO_MUL_KLEIN],
+                         ids=lambda s: s if isinstance(s, str) else "klein0")
+def test_ideal_lookup_matches_the_definition(spec):
+    # every subset of every subring: the lookups in the table agree with
+    # the definition, which the table is checked against only when built
+    ring = make_ring(spec)
+    for members in Subring.whole(ring).subrings():
+        sub = Subring(ring, members)
+        for k in range(len(sub.members) + 1):
+            for I in itertools.combinations(sub.members, k):
+                expected = sub._is_ideal_i(sub._to_idx(I))
+                assert sub.is_ideal(I) == expected
+                if expected:
+                    assert sub._require_ideal(I) == sub._to_idx(I)
+                else:
+                    with pytest.raises(RingError, match="is not an ideal"):
+                        sub._require_ideal(I)
 
 
 # -- radicals ---------------------------------------------------------------

@@ -1,6 +1,8 @@
 import pytest
 
 from lrings import LIdeal
+from lrings.decomp import decompose, lift_reducedness, project_level
+from lrings.radical import enumerate_family, is_semiprime
 from lrings.verify import (CheckRecord, Instance, SuiteParams, SuiteResult,
                            THEOREM_IDS, TheoremReport, check_theorem,
                            generate_instances, render_json, render_text,
@@ -109,6 +111,33 @@ def test_check_theorem_rejects_pair_with_different_zero_values(z4_setup):
     for ident in ("L1.11", "T2.10", "T2.17", "T2.25", "C2.26"):
         with pytest.raises(ValueError, match="equal zero values"):
             check_theorem(ident, inst)
+
+
+def test_t3_16_passes_where_factors_drop(z12_setup, monkeypatch):
+    # at level m the factors lifted from the top cut fill the subring's cut,
+    # so the reducedness transfer is asked for at t only
+    eta = z12_setup.ideal("eta_three_level")
+    dec = decompose(eta)
+    assert len(project_level(dec, "m", strong=False)) < len(dec.factors)
+    asked = []
+
+    def lift(dec, t):
+        asked.append(t)
+        return lift_reducedness(dec, t)
+    monkeypatch.setattr("lrings.verify.lift_reducedness", lift)
+    inst = Instance("z12/eta_three_level", z12_setup.mu, (eta,))
+    assert check_theorem("T3.16", inst).status == "PASS"
+    assert asked == ["t"]
+
+
+def test_t2_12_passes_over_many_semiprime_ideals(z12_setup):
+    # S(eta) and the 28 pair meets of the eight semiprime ideals above eta
+    # are checked; eta itself is not semiprime
+    eta = z12_setup.ideal("eta_three_level")
+    assert not is_semiprime(eta)
+    assert len(enumerate_family(eta, "semiprime")) == 8
+    inst = Instance("z12/eta_three_level", z12_setup.mu, (eta,))
+    assert check_theorem("T2.12", inst).status == "PASS"
 
 
 # -- suite ---------------------------------------------------------------------------
