@@ -189,7 +189,7 @@ def cmd_verify(args) -> int:
     sys.stdout.write(verify_mod.render_text(result))
     if args.report:
         with open(args.report, "w") as fh:
-            fh.write(verify_mod.render_json(result))
+            fh.writelines(verify_mod.render_json(result))
     return (3 if not result.ok else
             2 if result.cap_skipped or not result.records else 0)
 

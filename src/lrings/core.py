@@ -14,6 +14,10 @@ crisp question about a cut of mu read one table. Once the subring's
 ideal survey is built, an LIdeal whose values are in it reuses the
 verdict both characterizations gave then; any other values are validated
 in full, and an ideal missing from the survey raises ConsistencyError.
+Derived ideals (meets, sums, radicals, lifts) are built from their index
+values by `LIdeal._of`. It hands back the survey's own object for values
+the survey lists; only other values go through the constructor and its
+full validation.
 Its memo also keeps each sum of two of its ideals, keyed by values; a
 sum that is not an ideal is not kept, so it raises on every request.
 
@@ -90,8 +94,8 @@ class LSubset:
         """Pointwise other <= self."""
         if not self.same_carrier(other):
             raise ValidationError("carriers differ")
-        leq = self.lattice.leq_i
-        return all(leq(a, b) for a, b in zip(other.ivalues, self.ivalues))
+        leq = self.lattice._leq  # the loop is hot
+        return all(leq[a][b] for a, b in zip(other.ivalues, self.ivalues))
 
     def __eq__(self, other):
         return (isinstance(other, LSubset) and self.same_carrier(other)
@@ -267,6 +271,18 @@ class LIdeal(LSubset):
             raise ConsistencyError(f"{self!r} is an ideal missing from the "
                                    "survey of its subring")
 
+    @classmethod
+    def _of(cls, parent: LSubring, ivalues: tuple[int, ...]) -> "LIdeal":
+        """The ideal of parent with these index values: the object of a
+        built survey that lists them; any other values go through the
+        constructor, which validates them in full."""
+        survey = parent._survey
+        k = None if survey is None else survey.index.get(ivalues)
+        if k is not None:
+            return survey.ideals[k]
+        els = parent.lattice.elements
+        return cls(parent, [els[i] for i in ivalues])
+
     def zero_value(self) -> str:
         return self.lattice.elements[self.ivalues[self.ring.zero_i]]
 
@@ -277,16 +293,16 @@ class LIdeal(LSubset):
 def level_cut(f: LSubset, a: str) -> frozenset[str]:
     """Elements whose value dominates a."""
     ai = f.lattice.index(a)
-    leq = f.lattice.leq_i
-    return frozenset(x for x, v in zip(f.ring.elements, f.ivalues) if leq(ai, v))
+    above = f.lattice._leq[ai]
+    return frozenset(x for x, v in zip(f.ring.elements, f.ivalues) if above[v])
 
 
 def strong_cut(f: LSubset, a: str) -> frozenset[str]:
     """Elements whose value strictly dominates a."""
     ai = f.lattice.index(a)
-    leq = f.lattice.leq_i
+    above = f.lattice._leq[ai]
     return frozenset(x for x, v in zip(f.ring.elements, f.ivalues)
-                     if leq(ai, v) and v != ai)
+                     if above[v] and v != ai)
 
 
 def _cut_subring(mu: LSubset, a: int, strong: bool) -> Subring:
@@ -440,7 +456,7 @@ def sum_ideals(a: LIdeal, b: LIdeal) -> LIdeal:
 def _sum_ideals(a: LIdeal, b: LIdeal) -> LIdeal:
     raw = sum_subsets(a, b)
     try:
-        out = LIdeal(a.parent, raw.values)
+        out = LIdeal._of(a.parent, raw.ivalues)
     except ValidationError as e:
         if a.lattice.is_complete_heyting:
             raise ConsistencyError(
@@ -474,13 +490,12 @@ def intersect_many(fs: Sequence[LIdeal]) -> LIdeal:
         if not first.same_carrier(f):
             raise ValidationError("carriers differ")
     _require_one_parent(fs)
-    meet = first.lattice.meet_i
-    vals = list(first.ivalues)
+    meet = first.lattice._meet
+    vals = first.ivalues
     for f in fs[1:]:
-        vals = [meet(a, b) for a, b in zip(vals, f.ivalues)]
-    els = first.lattice.elements
+        vals = tuple(meet[a][b] for a, b in zip(vals, f.ivalues))
     try:
-        return LIdeal(first.parent, [els[i] for i in vals])
+        return LIdeal._of(first.parent, vals)
     except ValidationError as e:
         raise ConsistencyError(
             f"intersection of ideals failed to validate: {e}") from e

@@ -135,10 +135,11 @@ def lift_crisp_primary(J: Iterable[str], low: str, high: str,
     if not carrier.is_primary_ideal(J):
         raise ValidationError(
             f"{sorted(J)} is not a primary ideal of the strong cut at {low!r}")
-    lifted = [lat.meet(high if x in J else low, v)
-              for x, v in zip(mu.ring.elements, mu.values)]
+    hi, lo, meet = lat.index(high), lat.index(low), lat.meet_i
+    lifted = tuple(meet(hi if x in J else lo, v)
+                   for x, v in zip(mu.ring.elements, mu.ivalues))
     try:
-        out = LIdeal(mu, lifted)
+        out = LIdeal._of(mu, lifted)
     except ValidationError as e:
         raise ConsistencyError(f"lifted factor failed to validate: {e}") from e
     if not is_primary(out):

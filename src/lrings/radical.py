@@ -177,7 +177,7 @@ def _radical(eta: LIdeal) -> LIdeal:
     if not (mu.contains(raw) and raw.contains(eta)):
         raise ConsistencyError("radical escaped eta <= rad(eta) <= mu")
     try:
-        return LIdeal(mu, raw.values)
+        return LIdeal._of(mu, raw.ivalues)
     except ValidationError as e:
         raise ConsistencyError(f"radical failed to be an ideal: {e}") from e
 
@@ -222,7 +222,7 @@ def ideal_survey(mu: LSubring, cap: int = DEFAULT_CANDIDATE_CAP) -> IdealSurvey:
         label = lat.elements[a]
         return level_subring(mu, label).ideals() if level_cut(mu, label) else []
 
-    ideals = tuple(LIdeal(mu, [lat.elements[i] for i in v])
+    ideals = tuple(LIdeal._of(mu, v)
                    for v in level_cut_search(ring, lat, crisp_ideals, cap))
     survey = IdealSurvey(
         ideals=ideals,
@@ -254,7 +254,7 @@ def _family_meet(eta: LIdeal, kind: str) -> LIdeal:
     def meet():
         members = enumerate_family(eta, kind)
         return (intersect_many(members) if members
-                else LIdeal(eta.parent, eta.parent.values))
+                else LIdeal._of(eta.parent, eta.parent.ivalues))
     return survey_memo(eta.parent, (kind, eta.ivalues), meet)
 
 
@@ -290,8 +290,7 @@ def prime_cap(eta: LIdeal) -> LIdeal:
             f"requires eta(0) strictly below mu(0); got {z} vs {mz}")
     zi = lat.index(z)
     meet = lat.meet_i
-    xi = LIdeal(mu, LSubset._make(eta.ring, lat,
-                                  tuple(meet(v, zi) for v in mu.ivalues)).values)
+    xi = LIdeal._of(mu, tuple(meet(v, zi) for v in mu.ivalues))
     if not xi.contains(eta):
         raise ConsistencyError("capped subring does not contain eta")
     if not is_prime(xi):

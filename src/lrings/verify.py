@@ -22,6 +22,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .errors import CapExceeded, ConsistencyError
 from .lattice import make_lattice
@@ -109,8 +110,9 @@ class SuiteResult:
 
     @property
     def cap_skipped(self) -> int:
-        return sum(r.status == "SKIP" and r.detail.startswith(CAP_SKIP)
-                   for r in self.records)
+        return sum(n for rep in self.reports
+                   for reason, n in rep.skip_reasons.items()
+                   if reason.startswith(CAP_SKIP))
 
 
 # ---------------------------------------------------------------------------
@@ -761,18 +763,38 @@ def render_text(result: SuiteResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(result: SuiteResult) -> str:
-    doc = {
-        "params": result.params.as_dict(),
-        "summary": [{"theorem": r.theorem, "clause": r.clause,
-                     "checked": r.checked, "passed": r.passed,
-                     "skipped": r.skipped, "failed": r.failed,
-                     "skip_reasons": dict(sorted(r.skip_reasons.items())),
-                     "failures": [{"instance": l, "detail": d}
-                                  for l, d in r.failures]}
-                    for r in result.reports],
-        "records": [{"theorem": r.theorem, "instance": r.instance,
-                     "status": r.status, "detail": r.detail}
-                    for r in result.records],
-    }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+def render_json(result: SuiteResult):
+    """The JSON report, yielded in pieces to be written in order. Together
+    they are exactly json.dumps(doc, indent=1, sort_keys=True) + "\n" for
+    the document whose keys "params", "records" and "summary" hold the
+    parameters, one object per record and one per theorem. The params and
+    the summary are small and go through json.dumps; each record is
+    formatted here with the string escaper json.dumps itself uses, so
+    neither the document nor its text is ever built whole."""
+    def member(key, value):
+        # one key of the document, at indent 1; json.dumps escapes every
+        # newline inside a string, so each "\n" left is a line break
+        text = json.dumps(value, indent=1, sort_keys=True)
+        return f' "{key}": ' + text.replace("\n", "\n ")
+
+    esc = encode_basestring_ascii
+    yield "{\n" + member("params", result.params.as_dict()) + ",\n"
+    if result.records:
+        sep = ' "records": [\n'
+        for r in result.records:
+            yield (f'{sep}  {{\n   "detail": {esc(r.detail)},\n'
+                   f'   "instance": {esc(r.instance)},\n'
+                   f'   "status": {esc(r.status)},\n'
+                   f'   "theorem": {esc(r.theorem)}\n  }}')
+            sep = ",\n"
+        yield "\n ],\n"
+    else:
+        yield ' "records": [],\n'
+    summary = [{"theorem": r.theorem, "clause": r.clause,
+                "checked": r.checked, "passed": r.passed,
+                "skipped": r.skipped, "failed": r.failed,
+                "skip_reasons": dict(sorted(r.skip_reasons.items())),
+                "failures": [{"instance": l, "detail": d}
+                             for l, d in r.failures]}
+               for r in result.reports]
+    yield member("summary", summary) + "\n}\n"

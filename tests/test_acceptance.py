@@ -221,8 +221,8 @@ def test_criterion_7_reducedness_lifting():
 def test_criterion_8_determinism(tmp_path, capsys):
     params = SuiteParams(rings=("Z4", "Z6"), lattices=("chain3",),
                          sample=10, seed=7)
-    one = render_json(run_suite(params, ids=["T2.13", "T2.25"]))
-    two = render_json(run_suite(params, ids=["T2.13", "T2.25"]))
+    one = "".join(render_json(run_suite(params, ids=["T2.13", "T2.25"])))
+    two = "".join(render_json(run_suite(params, ids=["T2.13", "T2.25"])))
     assert one.encode() == two.encode()
 
     argv = ["verify", "--rings", "Z4,Z6", "--lattices", "chain2,chain3",

@@ -1,10 +1,11 @@
 import pytest
 
-from lrings import (CapExceeded, FiniteLattice, FiniteRing, LIdeal, LSubring,
-                    ValidationError, enumerate_family, fixtures,
-                    ideal_survey, is_primary, is_prime, is_semiprime,
-                    make_lattice, make_ring, prime_cap, prime_radical, radical,
-                    semiprime_radical)
+from lrings import (CapExceeded, ConsistencyError, DecompositionError,
+                    FiniteLattice, FiniteRing, LIdeal, LSubring,
+                    ValidationError, decompose, enumerate_family, fixtures,
+                    ideal_survey, intersect_many, is_primary, is_prime,
+                    is_semiprime, make_lattice, make_ring, prime_cap,
+                    prime_radical, radical, semiprime_radical, sum_ideals)
 from lrings.verify import Instance, SuiteParams, _enumerate_mus, check_theorem
 from lrings.radical import primary_by_inequalities, primary_by_level_cuts
 
@@ -287,3 +288,70 @@ def test_radical_of_primary_prime_when_proper(z4_setup, z6_setup):
             assert is_prime(r)
             assert prime_radical(eta).ivalues == r.ivalues
             assert semiprime_radical(eta).ivalues == r.ivalues
+
+
+# -- derived ideals are the survey's own objects -------------------------------------------
+
+def built(make):
+    """The values of the ideal make() builds, or the type and message of
+    the error it raises."""
+    try:
+        return make().ivalues
+    except (ConsistencyError, ValidationError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("rname", ["Z6", "Z2xZ2"])
+@pytest.mark.parametrize("lname", ["chain3", "m3"])
+def test_derived_ideals_are_the_surveys_own_objects(rname, lname,
+                                                    monkeypatch):
+    # meets, sums, radicals, capped primes and decomposition factors of
+    # surveyed ideals come back as the survey's objects; values the survey
+    # does not list are refused exactly as the constructor refuses them
+    ring, lat = make_ring(rname), make_lattice(lname)
+    top = (lat.index(lat.top),) * len(ring)
+    refused = 0
+    for mu in _enumerate_mus(ring, lat, SuiteParams(mu_mode="all")):
+        survey = ideal_survey(mu)
+
+        def own(f):
+            return f is survey.ideals[survey.index[f.ivalues]]
+
+        def both_refuse(v):
+            via_labels = built(lambda: LIdeal(mu, [lat.elements[i] for i in v]))
+            assert isinstance(via_labels, tuple) and len(via_labels) == 2
+            assert built(lambda: LIdeal._of(mu, v)) == via_labels
+            return via_labels[0]
+
+        for a in survey.ideals:
+            assert own(radical(a))
+            assert own(prime_radical(a)) and own(semiprime_radical(a))
+            if lat.lt(a.zero_value(), mu.values[mu.ring.zero_i]):
+                assert own(prime_cap(a))
+            if lat.is_chain and a.ivalues != mu.ivalues:
+                try:
+                    factors = decompose(a).factors
+                except DecompositionError:
+                    factors = ()
+                assert all(map(own, factors))
+            for b in survey.ideals:
+                assert own(intersect_many([a, b]))
+                if a.zero_value() == b.zero_value():
+                    try:
+                        assert own(sum_ideals(a, b))
+                    except ValidationError:
+                        assert not lat.is_complete_heyting
+                join = tuple(map(lat.join_i, a.ivalues, b.ivalues))
+                if join in survey.index:
+                    assert LIdeal._of(mu, join) is survey.ideals[
+                        survey.index[join]]
+                else:
+                    assert both_refuse(join) is ValidationError
+                    refused += 1
+        if mu.ivalues != top:
+            assert both_refuse(top) is ValidationError
+        missing = survey.ideals[-1].ivalues
+        monkeypatch.delitem(survey.index, missing)
+        assert both_refuse(missing) is ConsistencyError
+        monkeypatch.undo()
+    assert refused > 0

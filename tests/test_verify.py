@@ -1,3 +1,6 @@
+import json
+from collections import Counter
+
 import pytest
 
 from lrings import LIdeal
@@ -7,6 +10,8 @@ from lrings.verify import (CheckRecord, Instance, SuiteParams, SuiteResult,
                            THEOREM_IDS, TheoremReport, check_theorem,
                            generate_instances, render_json, render_text,
                            run_suite)
+
+from test_golden import GOLDEN
 
 
 def params(**kw):
@@ -205,11 +210,64 @@ def test_gated_mode_all_mu_is_green():
 
 # -- reports ---------------------------------------------------------------------------
 
+def report_document(result):
+    """The JSON report as one document: the oracle for render_json, whose
+    pieces must join to json.dumps(document, indent=1, sort_keys=True)
+    plus a newline."""
+    return {
+        "params": result.params.as_dict(),
+        "summary": [{"theorem": r.theorem, "clause": r.clause,
+                     "checked": r.checked, "passed": r.passed,
+                     "skipped": r.skipped, "failed": r.failed,
+                     "skip_reasons": dict(sorted(r.skip_reasons.items())),
+                     "failures": [{"instance": l, "detail": d}
+                                  for l, d in r.failures]}
+                    for r in result.reports],
+        "records": [{"theorem": r.theorem, "instance": r.instance,
+                     "status": r.status, "detail": r.detail}
+                    for r in result.records],
+    }
+
+
+def assert_json_matches_the_document(result):
+    assert "".join(render_json(result)) == json.dumps(
+        report_document(result), indent=1, sort_keys=True) + "\n"
+
+
+def test_render_json_escapes_as_json_dumps_does():
+    # a ConsistencyError detail quotes an LSubset repr, whose arrow is not
+    # ASCII; no committed report holds an escape
+    detail = ('ConsistencyError: <LIdeal 0↦t 1↦b> said "no"\n'
+              'at C:\\tmp\there')
+    fail = CheckRecord("T2.4", 'Z4/chain2/eta["t",b]', "FAIL", detail)
+    cap = CheckRecord("T2.4", "Z4/chain2/eta[b,b]", "SKIP",
+                      "cap exceeded: ↦ \x7f\x00")
+    passed = CheckRecord("T2.4", "Z4/chain2/eta[t,t]", "PASS")
+    full = TheoremReport("T2.4", 'P(eta)(0) = "eta(0)"', checked=3,
+                         passed=1, skipped=1, failed=1,
+                         failures=[(fail.instance, detail)],
+                         skip_reasons={cap.detail: 1})
+    empty = TheoremReport("L1.4", "no checks")
+    for p, reports, records in (
+            (params(), [full, empty], [fail, cap, passed]),
+            (params(sample=0), [empty], []),      # --sample 0
+            (params(), [], [])):                  # run_suite(ids=[])
+        assert_json_matches_the_document(SuiteResult(p, reports, records))
+    assert_json_matches_the_document(run_suite(params(sample=0)))
+
+
+@pytest.mark.parametrize("kw,theorems", [g[:2] for g in GOLDEN],
+                         ids=[f"golden{k}" for k in range(len(GOLDEN))])
+def test_render_json_matches_the_document_on_golden_runs(kw, theorems):
+    assert_json_matches_the_document(run_suite(SuiteParams(**kw),
+                                               ids=theorems))
+
+
 def test_reports_are_deterministic():
     p = params(lattices=("chain3",), sample=6, seed=7)
     r1 = run_suite(p, ids=["T2.13", "T2.4"])
     r2 = run_suite(p, ids=["T2.13", "T2.4"])
-    assert render_json(r1) == render_json(r2)
+    assert "".join(render_json(r1)) == "".join(render_json(r2))
     assert render_text(r1) == render_text(r2)
 
 
@@ -232,8 +290,13 @@ def test_render_text_verdict_reads_the_skip_kinds():
     fail = CheckRecord("T2.4", "c", "FAIL", "boom")
 
     def verdict(*records):
+        # the counts run_suite tallies from these records; the verdict
+        # reads the cap-skips from the skip reasons
+        skips = [r.detail for r in records if r.status == "SKIP"]
         rep = TheoremReport("T2.4", "clause", checked=len(records),
-                            failed=sum(r.status == "FAIL" for r in records))
+                            skipped=len(skips),
+                            failed=sum(r.status == "FAIL" for r in records),
+                            skip_reasons=dict(Counter(skips)))
         text = render_text(SuiteResult(params(), [rep], list(records)))
         return text.splitlines()[-1]
 
