@@ -33,10 +33,9 @@ show("semiprime rad", semiprime_radical(eta))
 show("prime radical", prime_radical(eta))
 
 print("\nevery ideal of mu, classified in one sweep:")
-survey = ideal_survey(mu)
-for v, p, s, q in zip(survey.ideals, survey.prime, survey.semiprime,
-                      survey.primary):
-    flags = "".join(ch for ch, on in (("P", p), ("S", s), ("Q", q)) if on)
+for v in ideal_survey(mu).ideals:
+    flags = "".join(ch for ch, test in (("P", is_prime), ("S", is_semiprime),
+                                        ("Q", is_primary)) if test(v))
     show(flags or "-", v)
 
 print("\nprime ideals above eta (the family whose meet is the prime radical):")

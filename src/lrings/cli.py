@@ -177,7 +177,7 @@ def cmd_verify(args) -> int:
         rings=_name_list("--rings", args.rings),
         lattices=_name_list("--lattices", args.lattices),
         mu_mode=args.mu,
-        sample=None if args.exhaustive else args.sample,
+        sample=args.sample,
         seed=args.seed,
         cap=args.cap,
         gate=not args.no_hypothesis_gate,
@@ -190,8 +190,7 @@ def cmd_verify(args) -> int:
     if args.report:
         with open(args.report, "w") as fh:
             fh.writelines(verify_mod.render_json(result))
-    return (3 if not result.ok else
-            2 if result.cap_skipped or not result.records else 0)
+    return result.verdict[0]
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--rings", default="Z4,Z6")
     w.add_argument("--lattices", default="chain2,chain3")
     w.add_argument("--mu", choices=["top", "all"], default="top")
-    w.add_argument("--exhaustive", action="store_true",
-                   help="check every instance (default unless --sample)")
     w.add_argument("--sample", type=int, default=None,
-                   help="reproducibly sample this many instances per pool")
+                   help="reproducibly sample this many instances per pool "
+                        "(default: check every instance)")
     w.add_argument("--seed", type=int, default=0)
     w.add_argument("--theorems", default=None,
                    help="comma-separated theorem ids (default: all)")

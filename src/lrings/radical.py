@@ -14,15 +14,15 @@ when each non-empty cut is a crisp ideal of the subring's level cut). The
 resulting survey lists the ideals in canonical order (mixed-radix order of
 their values along the lattice's fixed linear extension), is cached on the
 subring, and answers every family and radical query. It is the one memo
-for what is asked again about an ideal: it keeps each ideal's three
-radicals and the sums of its ideals once asked for, and never a failure;
-its flags answer the predicates; and its index of values lets LIdeal
-reuse the verdict both characterizations gave when the survey was built.
-Only the prime and semiprime radicals build a survey; the pointwise
-radical, sums and predicates read one only once it is built. The
-candidate cap is taken by `ideal_survey` alone and bounds the cut
-assignments its search tries; a cached survey is never refused, so a
-caller that wants a cap builds the survey with it first.
+for what is asked again about an ideal: it keeps each predicate's verdict,
+each ideal's three radicals and the sums of its ideals once asked for, and
+never a failure; and its index of values lets LIdeal reuse the verdict
+both ideal characterizations gave when the survey was built. Only the
+prime and semiprime radicals build a survey; the pointwise radical, sums
+and predicates read one only once it is built. The candidate cap is taken
+by `ideal_survey` alone and bounds the cut assignments its search tries; a
+cached survey is never refused, so a caller that wants a cap builds the
+survey with it first.
 """
 
 from __future__ import annotations
@@ -40,18 +40,14 @@ DEFAULT_CANDIDATE_CAP = 2_000_000
 # ---------------------------------------------------------------------------
 # predicates
 
-def _survey_flag(eta: LIdeal, kind: str):
-    """eta's flag of this kind in a built survey that lists it, else None."""
-    survey = eta.parent._survey
-    k = None if survey is None else survey.index.get(eta.ivalues)
-    return None if k is None else getattr(survey, kind)[k]
-
-
 def is_prime(eta: LIdeal) -> bool:
     """For every pair, eta(xy) ^ mu(x) ^ mu(y) equals eta(x) ^ mu(y) or
     eta(y) ^ mu(x). The whole subring is never prime."""
-    if (flag := _survey_flag(eta, "prime")) is not None:
-        return flag
+    return survey_memo(eta.parent, ("is_prime", eta.ivalues),
+                       lambda: _is_prime(eta))
+
+
+def _is_prime(eta: LIdeal) -> bool:
     mu = eta.parent
     if eta.ivalues == mu.ivalues:
         return False
@@ -69,8 +65,11 @@ def is_prime(eta: LIdeal) -> bool:
 
 def is_semiprime(eta: LIdeal) -> bool:
     """eta(x^n) ^ mu(x) = eta(x) for every x and every positive n."""
-    if (flag := _survey_flag(eta, "semiprime")) is not None:
-        return flag
+    return survey_memo(eta.parent, ("is_semiprime", eta.ivalues),
+                       lambda: _is_semiprime(eta))
+
+
+def _is_semiprime(eta: LIdeal) -> bool:
     mu = eta.parent
     if eta.ivalues == mu.ivalues:
         return False
@@ -129,10 +128,13 @@ def primary_by_level_cuts(eta: LIdeal) -> bool:
 
 
 def is_primary(eta: LIdeal) -> bool:
-    """Both characterizations, which must agree (as they did on each flag
-    the survey holds)."""
-    if (flag := _survey_flag(eta, "primary")) is not None:
-        return flag
+    """Both characterizations, run on the first request, which must agree;
+    a disagreement raises ConsistencyError on every request."""
+    return survey_memo(eta.parent, ("is_primary", eta.ivalues),
+                       lambda: _is_primary(eta))
+
+
+def _is_primary(eta: LIdeal) -> bool:
     by_def = primary_by_inequalities(eta)
     by_levels = primary_by_level_cuts(eta)
     if by_def != by_levels:
@@ -187,17 +189,15 @@ def _radical(eta: LIdeal) -> LIdeal:
 
 @dataclass(frozen=True)
 class IdealSurvey:
-    """Every ideal of one L-subring, classified once, in canonical order.
+    """Every ideal of one L-subring, in canonical order.
 
     `index` maps each ideal's values to its position; an LIdeal whose values
     are in it skips validation, since both characterizations already agreed
-    on them, and the predicates return its flags. `memo` holds, keyed by
-    values and filled on first request, the prime, semiprime and pointwise
-    radical ("prime"/"semiprime"/"rad", v) and sums ("sum", v, w)."""
+    on them. `memo` holds, keyed by values and filled on first request, the
+    predicates' verdicts ("is_prime"/"is_semiprime"/"is_primary", v), the
+    prime, semiprime and pointwise radical ("prime"/"semiprime"/"rad", v)
+    and sums ("sum", v, w)."""
     ideals: tuple[LIdeal, ...]
-    prime: tuple[bool, ...]
-    semiprime: tuple[bool, ...]
-    primary: tuple[bool, ...]
     index: dict = field(init=False, repr=False, compare=False)
     memo: dict = field(init=False, repr=False, compare=False)
 
@@ -208,7 +208,7 @@ class IdealSurvey:
 
 
 def ideal_survey(mu: LSubring, cap: int = DEFAULT_CANDIDATE_CAP) -> IdealSurvey:
-    """Enumerate and classify every ideal of mu once, by a level-cut search
+    """Enumerate and validate every ideal of mu once, by a level-cut search
     whose allowed cuts at a are the crisp ideals of mu's level subring at a
     (T1.7), from the same table that validates each ideal found. Building
     it may try at most `cap` cut assignments; once cached on the subring
@@ -222,16 +222,10 @@ def ideal_survey(mu: LSubring, cap: int = DEFAULT_CANDIDATE_CAP) -> IdealSurvey:
         label = lat.elements[a]
         return level_subring(mu, label).ideals() if level_cut(mu, label) else []
 
-    ideals = tuple(LIdeal._of(mu, v)
-                   for v in level_cut_search(ring, lat, crisp_ideals, cap))
-    survey = IdealSurvey(
-        ideals=ideals,
-        prime=tuple(is_prime(v) for v in ideals),
-        semiprime=tuple(is_semiprime(v) for v in ideals),
-        primary=tuple(is_primary(v) for v in ideals),
-    )
-    mu._survey = survey
-    return survey
+    mu._survey = IdealSurvey(tuple(
+        LIdeal._of(mu, v)
+        for v in level_cut_search(ring, lat, crisp_ideals, cap)))
+    return mu._survey
 
 
 def enumerate_family(eta: LIdeal, kind: str) -> tuple[LIdeal, ...]:
@@ -240,10 +234,9 @@ def enumerate_family(eta: LIdeal, kind: str) -> tuple[LIdeal, ...]:
     containment."""
     if kind not in ("prime", "semiprime"):
         raise ValueError(f"kind must be 'prime' or 'semiprime', not {kind!r}")
-    survey = ideal_survey(eta.parent)
-    flags = survey.prime if kind == "prime" else survey.semiprime
-    return tuple(v for v, ok in zip(survey.ideals, flags)
-                 if ok and v.contains(eta))
+    member = is_prime if kind == "prime" else is_semiprime
+    return tuple(v for v in ideal_survey(eta.parent).ideals
+                 if v.contains(eta) and member(v))
 
 
 def _family_meet(eta: LIdeal, kind: str) -> LIdeal:

@@ -196,7 +196,7 @@ def test_decompose_non_chain(capsys):
 
 def test_verify_small_run(capsys):
     code, out, _ = run(capsys, "verify", "--rings", "Z4", "--lattices",
-                       "chain2", "--exhaustive")
+                       "chain2")
     assert code == 0
     assert "result: all checks passed" in out
 
@@ -403,3 +403,22 @@ def test_validate_inconsistent_characterizations_exit_3(monkeypatch, capsys):
     code, _, err = run(capsys, "validate", Z4)
     assert code == 3
     assert err.startswith("inconsistent: primary characterizations disagree")
+
+
+def test_primary_disagreement_is_a_fail_record(monkeypatch, capsys, tmp_path):
+    # a disagreement met by a checker (T2.19) or a gate (T2.20) fails that
+    # record, and the run still writes its report
+    radical_mod = importlib.import_module("lrings.radical")
+    levels = radical_mod.primary_by_level_cuts
+    monkeypatch.setattr(radical_mod, "primary_by_level_cuts",
+                        lambda eta: not levels(eta))
+    path = tmp_path / "r.json"
+    code, out, _ = run(capsys, "verify", "--rings", "Z4", "--lattices",
+                       "chain2", "--theorems", "T2.19,T2.20",
+                       "--report", str(path))
+    assert code == 3
+    assert "result: FAILURES FOUND" in out
+    failed = {r["theorem"] for r in json.loads(path.read_text())["records"]
+              if r["status"] == "FAIL" and r["detail"].startswith(
+                  "ConsistencyError: primary characterizations disagree")}
+    assert failed == {"T2.19", "T2.20"}

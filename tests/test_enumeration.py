@@ -355,7 +355,7 @@ def assert_survey_memo_matches_box(ring, lat):
                     LIdeal(mu, c)
 
         # radicals and sums asked twice (the second read from the memo), and
-        # the predicates' survey flags against a direct evaluation
+        # the predicates' memoized verdicts against a direct evaluation
         survey = mu._survey
         for eta in etas:
             expected = pointwise_radical(mu, eta)
@@ -377,9 +377,10 @@ def assert_survey_memo_matches_box(ring, lat):
                         sum_ideals(a, b)
 
         # P and S agree on every carrier here, so the memo's split by kind
-        # shows only on a survey that lists no semiprime ideal: S is mu
-        mu._survey = dataclasses.replace(
-            survey, semiprime=(False,) * len(survey.ideals))
+        # shows only on a survey whose memo holds no semiprime ideal: S is mu
+        mu._survey = dataclasses.replace(survey)
+        mu._survey.memo.update(
+            (("is_semiprime", v.ivalues), False) for v in survey.ideals)
         for eta in etas:
             assert prime_radical(eta).ivalues == box_meet(mu, primes, eta.ivalues)
             assert semiprime_radical(eta).ivalues == mu.ivalues
@@ -387,9 +388,7 @@ def assert_survey_memo_matches_box(ring, lat):
         for k, eta in enumerate(survey.ideals):
             def drop(t):
                 return t[:k] + t[k + 1:]
-            mu._survey = dataclasses.replace(
-                survey, ideals=drop(survey.ideals), prime=drop(survey.prime),
-                semiprime=drop(survey.semiprime), primary=drop(survey.primary))
+            mu._survey = dataclasses.replace(survey, ideals=drop(survey.ideals))
             with pytest.raises(ConsistencyError, match="missing from the survey"):
                 LIdeal(mu, eta.values)
         mu._survey = survey

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from lrings import (CapExceeded, ConsistencyError, DecompositionError,
@@ -165,6 +167,22 @@ def test_cached_survey_is_never_refused():
     assert ideal_survey(fx.mu, cap=0) is fx.mu._survey
     assert prime_radical(eta0).ivalues == eta2.ivalues
     assert semiprime_radical(eta0).ivalues == eta2.ivalues
+
+
+def test_survey_build_classifies_nothing(monkeypatch):
+    # the predicates answer through the survey memo on first request, so a
+    # build decides no ideal's primality and a repeat asks nothing again
+    radical_mod = importlib.import_module("lrings.radical")
+    calls = []
+    by_def = radical_mod.primary_by_inequalities
+    monkeypatch.setattr(radical_mod, "primary_by_inequalities",
+                        lambda eta: calls.append(eta) or by_def(eta))
+    fx = fixtures.z4_chain3()
+    survey = ideal_survey(fx.mu)
+    assert calls == [] and survey.memo == {}
+    eta = survey.ideals[1]
+    assert [is_primary(eta), is_primary(eta)] == [True, True]
+    assert calls == [eta]
 
 
 def test_survey_canonical_order(z4_setup):
