@@ -7,13 +7,19 @@ subtraction and multiplication; LIdeal wraps an ideal of such a subring.
 Ideal validation is eager and runs two independent characterizations (the
 pointwise inequalities and the everywhere-level-cut criterion); any
 disagreement raises ConsistencyError because it would mean either the code
-or a theorem is wrong. Each L-subset keeps the crisp subrings of its level
-and strong cuts, each built on first request, and a crisp Subring finds
-its ideals once; so the level criterion, the ideal survey and every
-crisp question about a cut of mu read one table. Once the subring's
-ideal survey is built, an LIdeal whose values are in it reuses the
-verdict both characterizations gave then; any other values are validated
-in full, and an ideal missing from the survey raises ConsistencyError.
+or a theorem is wrong. The pointwise inequalities read rows of the lattice
+and ring tables, each looked up once outside the inner loop.
+
+An L-subset's level and strong cuts are read from one table of all its
+cuts, kept under ("cuts", values) in its subring's survey memo once that
+survey is built; the ring keeps one object per distinct cut set. The
+crisp subring of a cut comes from the ring's table by member set, and a
+crisp Subring finds its ideals once; so the level criterion, the ideal
+survey and every crisp question about a cut of mu read one table per ring
+and member set. Once the subring's ideal survey is built, an LIdeal whose
+values are in it reuses the verdict both characterizations gave then; any
+other values are validated in full, and an ideal missing from the survey
+raises ConsistencyError.
 Derived ideals (meets, sums, radicals, lifts) are built from their index
 values by `LIdeal._of`. It hands back the survey's own object for values
 the survey lists; only other values go through the constructor and its
@@ -136,17 +142,15 @@ def satisfies_ideal_inequalities(nu: LSubset, mu: "LSubring") -> bool:
     if not nu.same_carrier(mu):
         raise ValidationError("carriers differ")
     r, lat = nu.ring, nu.lattice
-    leq, meet, join = lat.leq_i, lat.meet_i, lat.join_i
+    leq, meet, join = lat._leq, lat._meet, lat._join  # the loop is hot
     e, m = nu.ivalues, mu.ivalues
-    n = len(r)
-    if not all(leq(e[i], m[i]) for i in range(n)):
+    if not all(leq[a][b] for a, b in zip(e, m)):
         return False
-    for i in range(n):
-        for j in range(n):
-            if not leq(meet(e[i], e[j]), e[r._sub_i(i, j)]):
-                return False
-            lo = join(meet(m[i], e[j]), meet(e[i], m[j]))
-            if not leq(lo, e[r.mul_i(i, j)]):
+    for ei, mi, sub_i, mul_i in zip(e, m, r._sub, r._mul):
+        meet_e, meet_m = meet[ei], meet[mi]
+        for ej, mj, d, p in zip(e, m, sub_i, mul_i):
+            if not (leq[meet_e[ej]][e[d]]
+                    and leq[join[meet_m[ej]][meet_e[mj]]][e[p]]):
                 return False
     return True
 
@@ -162,18 +166,20 @@ def ideal_inequality_search(mu: "LSubring", cap: int) -> list[tuple[int, ...]]:
     elements gets a value, and the first failure prunes the branch. More
     than `cap` values tried raises CapExceeded."""
     ring, lat = mu.ring, mu.lattice
-    leq, meet, join = lat.leq_i, lat.meet_i, lat.join_i
+    leq, meet, join = lat._leq, lat._meet, lat._join
     m = mu.ivalues
     n = len(ring)
     bot = lat.index(lat.bottom)
     domains = [lat.interval_i(bot, v) for v in m]  # in rank order
-    # (i, j, k, is_product) with k = i - j or k = ij, filed under max(i, j, k)
-    checks = [[] for _ in range(n)]
+    # (i, j, k) with k = i - j, and (meet row of mu(x), of mu(y), i, j, k)
+    # with k = ij, each filed under max(i, j, k)
+    subs, prods = [[] for _ in range(n)], [[] for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            for k, is_product in ((ring._sub_i(i, j), False),
-                                  (ring.mul_i(i, j), True)):
-                checks[max(i, j, k)].append((i, j, k, is_product))
+            k = ring._sub[i][j]
+            subs[max(i, j, k)].append((i, j, k))
+            k = ring._mul[i][j]
+            prods[max(i, j, k)].append((meet[m[i]], meet[m[j]], i, j, k))
     e = [bot] * n
     found = []
     tried = 0
@@ -189,9 +195,9 @@ def ideal_inequality_search(mu: "LSubring", cap: int) -> list[tuple[int, ...]]:
                 raise CapExceeded(f"inequality search tried more than {cap} "
                                   f"values", size=tried)
             e[t] = v
-            if all(leq(join(meet(m[i], e[j]), meet(e[i], m[j])) if is_product
-                       else meet(e[i], e[j]), e[k])
-                   for i, j, k, is_product in checks[t]):
+            if (all(leq[meet[e[i]][e[j]]][e[k]] for i, j, k in subs[t])
+                    and all(leq[join[mi[e[j]]][mj[e[i]]]][e[k]]
+                            for mi, mj, i, j, k in prods[t])):
                 extend(t + 1)
 
     extend(0)
@@ -203,15 +209,11 @@ def level_cuts_all_ideals(nu: LSubset, mu: "LSubring") -> bool:
     is a crisp ideal of the matching level subring of mu."""
     if not nu.same_carrier(mu):
         raise ValidationError("carriers differ")
-    lat = nu.lattice
-    leq = lat.leq_i
-    if not all(leq(a, b) for a, b in zip(nu.ivalues, mu.ivalues)):
+    leq = nu.lattice._leq
+    if not all(leq[a][b] for a, b in zip(nu.ivalues, mu.ivalues)):
         return False
-    for a in range(len(lat)):
-        cut = frozenset(i for i, v in enumerate(nu.ivalues) if leq(a, v))
-        if cut and cut not in _cut_subring(mu, a, strong=False)._closures(True):
-            return False
-    return True
+    return all(not cut or _cut_subring(mu, a, strong=False).is_ideal(cut)
+               for a, cut in enumerate(_cuts_of(nu)[False]))
 
 
 def is_ideal_of(nu: LSubset, mu: "LSubring") -> bool:
@@ -292,47 +294,63 @@ class LIdeal(LSubset):
 
 def level_cut(f: LSubset, a: str) -> frozenset[str]:
     """Elements whose value dominates a."""
-    ai = f.lattice.index(a)
-    above = f.lattice._leq[ai]
-    return frozenset(x for x, v in zip(f.ring.elements, f.ivalues) if above[v])
+    return cuts(f)[f.lattice.index(a)]
 
 
 def strong_cut(f: LSubset, a: str) -> frozenset[str]:
     """Elements whose value strictly dominates a."""
-    ai = f.lattice.index(a)
-    above = f.lattice._leq[ai]
-    return frozenset(x for x, v in zip(f.ring.elements, f.ivalues)
-                     if above[v] and v != ai)
+    return cuts(f, strong=True)[f.lattice.index(a)]
+
+
+def cuts(f: LSubset, strong: bool = False) -> tuple[frozenset[str], ...]:
+    """f's level (strong) cuts, by lattice index. Both are kept under
+    ("cuts", values) in the memo of the survey of f's subring (of f itself
+    when it is an L-subring) once that survey is built."""
+    return survey_memo(getattr(f, "parent", f), ("cuts", f.ivalues),
+                       _cuts_of, f)[strong]
+
+
+def _cuts_of(f: LSubset) -> tuple[tuple[frozenset, ...], ...]:
+    keep = f.ring._cut_sets.setdefault  # one object per distinct set
+    at = {}  # the ring elements taking each value
+    for x, v in zip(f.ring.elements, f.ivalues):
+        at.setdefault(v, []).append(x)
+    levels, strongs = [], []
+    for a, above in enumerate(f.lattice._leq):
+        level = frozenset([x for v, xs in at.items() if above[v] for x in xs])
+        strong = level.difference(at.get(a, ()))
+        levels.append(keep(level, level))
+        strongs.append(keep(strong, strong))
+    return tuple(levels), tuple(strongs)
 
 
 def _cut_subring(mu: LSubset, a: int, strong: bool) -> Subring:
     """mu's strong (strict) or level cut at lattice index a as a crisp
-    Subring, built once and kept on mu. Only results are kept: an empty
-    cut raises ValidationError, and a cut that is not closed RingError,
-    on every request."""
+    Subring, taken from the ring's table by member set and kept on mu.
+    Only results are kept: an empty cut raises ValidationError, and a cut
+    that is not closed RingError, on every request."""
     memo = mu._cut_subrings
     if memo is None:
         memo = mu._cut_subrings = {}
     sub = memo.get((a, strong))
     if sub is None:
-        label = mu.lattice.elements[a]
-        cut = (strong_cut if strong else level_cut)(mu, label)
+        cut = cuts(mu, strong)[a]
         if not cut:
             raise ValidationError(f"{'strong' if strong else 'level'} cut at "
-                                  f"{label!r} is empty")
-        sub = memo[(a, strong)] = Subring(mu.ring, cut)
+                                  f"{mu.lattice.elements[a]!r} is empty")
+        sub = memo[(a, strong)] = mu.ring.subring(cut)
     return sub
 
 
 def level_subring(mu: LSubring, a: str) -> Subring:
     """The level cut of an L-subring as a crisp Subring (valid on any
-    lattice), built once per mu and level. Raises on an empty cut."""
+    lattice), built once per ring and member set. Raises on an empty cut."""
     return _cut_subring(mu, mu.lattice.index(a), strong=False)
 
 
 def strong_subring(mu: LSubring, a: str) -> Subring:
     """The strong cut of an L-subring as a crisp Subring, built once per
-    mu and level. Guaranteed to be closed when the lattice is a chain; on
+    ring and member set. Guaranteed to be closed when the lattice is a chain; on
     other lattices closure may fail, and the RingError is raised on every
     request. Raises on an empty cut."""
     return _cut_subring(mu, mu.lattice.index(a), strong=True)
@@ -407,12 +425,15 @@ def level_cut_search(ring: FiniteRing, lattice: FiniteLattice, allowed,
 # ---------------------------------------------------------------------------
 # sums and intersections
 
-def survey_memo(mu: LSubring, key, compute):
-    """compute(), kept under key in the memo of mu's ideal survey once that
-    survey is built (a lookup never builds one); errors are never kept."""
-    memo = {} if mu._survey is None else mu._survey.memo
+def survey_memo(mu: LSubring, key, compute, *args):
+    """compute(*args), kept under key in the memo of mu's ideal survey once
+    that survey is built (a lookup never builds one); errors are never
+    kept."""
+    if mu._survey is None:
+        return compute(*args)
+    memo = mu._survey.memo
     if key not in memo:
-        memo[key] = compute()
+        memo[key] = compute(*args)
     return memo[key]
 
 
@@ -445,12 +466,13 @@ def sum_ideals(a: LIdeal, b: LIdeal) -> LIdeal:
     values can break the level structure); that raises a ValidationError
     naming the situation."""
     _require_one_parent((a, b))
-    if a.zero_value() != b.zero_value():
+    zero = a.ring.zero_i
+    if a.ivalues[zero] != b.ivalues[zero]:
         raise ValidationError(
             f"values at zero differ ({a.zero_value()} vs {b.zero_value()}); "
             "the sum is only an ideal when they agree")
     return survey_memo(a.parent, ("sum", a.ivalues, b.ivalues),
-                       lambda: _sum_ideals(a, b))
+                       _sum_ideals, a, b)
 
 
 def _sum_ideals(a: LIdeal, b: LIdeal) -> LIdeal:

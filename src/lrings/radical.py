@@ -15,11 +15,13 @@ resulting survey lists the ideals in canonical order (mixed-radix order of
 their values along the lattice's fixed linear extension), is cached on the
 subring, and answers every family and radical query. It is the one memo
 for what is asked again about an ideal: it keeps each predicate's verdict,
-each ideal's three radicals and the sums of its ideals once asked for, and
-never a failure; and its index of values lets LIdeal reuse the verdict
-both ideal characterizations gave when the survey was built. Only the
-prime and semiprime radicals build a survey; the pointwise radical, sums
-and predicates read one only once it is built. The candidate cap is taken
+each ideal's three radicals and cut table, the sums of its ideals and the
+pairs of semiprime ideals whose meet T2.12 rejects, once asked for, and
+never a failure; a prime radical's value at zero is checked once, when it
+is met. Its index of values lets LIdeal reuse the verdict both ideal
+characterizations gave when the survey was built. Only the prime and
+semiprime radicals build a survey; the pointwise radical, cuts, sums and
+predicates read one only once it is built. The candidate cap is taken
 by `ideal_survey` alone and bounds the cut assignments its search tries; a
 cached survey is never refused, so a caller that wants a cap builds the
 survey with it first.
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConsistencyError
-from .core import (LIdeal, LSubring, LSubset, ValidationError,
+from .core import (LIdeal, LSubring, LSubset, ValidationError, cuts,
                    intersect_many, level_cut, level_cut_search, level_subring,
                    survey_memo)
 
@@ -43,8 +45,7 @@ DEFAULT_CANDIDATE_CAP = 2_000_000
 def is_prime(eta: LIdeal) -> bool:
     """For every pair, eta(xy) ^ mu(x) ^ mu(y) equals eta(x) ^ mu(y) or
     eta(y) ^ mu(x). The whole subring is never prime."""
-    return survey_memo(eta.parent, ("is_prime", eta.ivalues),
-                       lambda: _is_prime(eta))
+    return survey_memo(eta.parent, ("is_prime", eta.ivalues), _is_prime, eta)
 
 
 def _is_prime(eta: LIdeal) -> bool:
@@ -66,7 +67,7 @@ def _is_prime(eta: LIdeal) -> bool:
 def is_semiprime(eta: LIdeal) -> bool:
     """eta(x^n) ^ mu(x) = eta(x) for every x and every positive n."""
     return survey_memo(eta.parent, ("is_semiprime", eta.ivalues),
-                       lambda: _is_semiprime(eta))
+                       _is_semiprime, eta)
 
 
 def _is_semiprime(eta: LIdeal) -> bool:
@@ -114,15 +115,9 @@ def primary_by_level_cuts(eta: LIdeal) -> bool:
     mu = eta.parent
     if eta.ivalues == mu.ivalues:
         return False
-    lat = eta.lattice
-    for a in lat.elements:
-        cut = level_cut(eta, a)
-        if not cut:
-            continue
-        mcut = level_cut(mu, a)
-        if cut == mcut:
-            continue
-        if not level_subring(mu, a).is_primary_ideal(cut):
+    for a, cut, mcut in zip(eta.lattice.elements, cuts(eta), cuts(mu)):
+        if cut and cut != mcut and not level_subring(
+                mu, a).is_primary_ideal(cut):
             return False
     return True
 
@@ -131,7 +126,7 @@ def is_primary(eta: LIdeal) -> bool:
     """Both characterizations, run on the first request, which must agree;
     a disagreement raises ConsistencyError on every request."""
     return survey_memo(eta.parent, ("is_primary", eta.ivalues),
-                       lambda: _is_primary(eta))
+                       _is_primary, eta)
 
 
 def _is_primary(eta: LIdeal) -> bool:
@@ -159,8 +154,7 @@ def radical(eta: LIdeal) -> LIdeal:
     of (x - y)^(2N) holds x^k or y^k with k >= N, so eta takes at least
     rad(x) ^ rad(y) on it, and (xy)^N = x^N y^N gives rad(xy) >= mu(x) ^
     rad(y) and, symmetrically, rad(x) ^ mu(y). The README has it in full."""
-    return survey_memo(eta.parent, ("rad", eta.ivalues),
-                       lambda: _radical(eta))
+    return survey_memo(eta.parent, ("rad", eta.ivalues), _radical, eta)
 
 
 def _radical(eta: LIdeal) -> LIdeal:
@@ -195,8 +189,10 @@ class IdealSurvey:
     are in it skips validation, since both characterizations already agreed
     on them. `memo` holds, keyed by values and filled on first request, the
     predicates' verdicts ("is_prime"/"is_semiprime"/"is_primary", v), the
-    prime, semiprime and pointwise radical ("prime"/"semiprime"/"rad", v)
-    and sums ("sum", v, w)."""
+    prime, semiprime and pointwise radical ("prime"/"semiprime"/"rad", v),
+    the level and strong cuts ("cuts", v), sums ("sum", v, w) and
+    decompositions ("dec", v); and, once per subring, the pairs of values
+    of semiprime ideals whose meet is not semiprime ("T2.12 pairs",)."""
     ideals: tuple[LIdeal, ...]
     index: dict = field(init=False, repr=False, compare=False)
     memo: dict = field(init=False, repr=False, compare=False)
@@ -241,24 +237,26 @@ def enumerate_family(eta: LIdeal, kind: str) -> tuple[LIdeal, ...]:
 
 def _family_meet(eta: LIdeal, kind: str) -> LIdeal:
     """The meet of eta's family, kept in the memo of the survey it builds;
-    a failure is not stored, so every later request raises it again."""
-    ideal_survey(eta.parent)
-
-    def meet():
+    a prime radical is checked to agree with eta at zero when it is met. A
+    failure is not stored, so every later request raises it again."""
+    memo, key = ideal_survey(eta.parent).memo, (kind, eta.ivalues)
+    out = memo.get(key)
+    if out is None:
         members = enumerate_family(eta, kind)
-        return (intersect_many(members) if members
-                else LIdeal._of(eta.parent, eta.parent.ivalues))
-    return survey_memo(eta.parent, (kind, eta.ivalues), meet)
+        out = (intersect_many(members) if members
+               else LIdeal._of(eta.parent, eta.parent.ivalues))
+        zero = eta.ring.zero_i
+        if kind == "prime" and out.ivalues[zero] != eta.ivalues[zero]:
+            raise ConsistencyError("prime radical changed the value at zero")
+        memo[key] = out
+    return out
 
 
 def prime_radical(eta: LIdeal) -> LIdeal:
     """Meet of all prime ideals of the subring containing eta; the whole
     subring when there are none. Always an ideal, and always agrees with
     eta at zero."""
-    out = _family_meet(eta, "prime")
-    if out.zero_value() != eta.zero_value():
-        raise ConsistencyError("prime radical changed the value at zero")
-    return out
+    return _family_meet(eta, "prime")
 
 
 def semiprime_radical(eta: LIdeal) -> LIdeal:

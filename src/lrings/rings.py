@@ -10,7 +10,10 @@ generated as closures of generators, so their cost grows with the number
 found rather than with the 2^n subsets of the carrier. Each closure is
 checked against the definition once, when the table is built; after that,
 "is I an ideal" is a lookup in the table, for is_ideal and for the ideal
-that a primality test, radical or decomposition is asked about.
+that a primality test, radical or decomposition is asked about, whose
+answers are kept beside the ideal in that table. A ring keeps each crisp
+subring it is asked for by member set (`FiniteRing.subring`), so equal
+cuts of all its L-subrings share one Subring and its tables.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ class RingError(ValueError):
 
 
 class FiniteRing:
-    """Finite commutative ring from explicit tables. Immutable."""
+    """Finite commutative ring from explicit tables. Immutable, apart from
+    the crisp subrings and cut sets it keeps as they are asked for."""
 
     def __init__(self, elements: Sequence[str], add, mul, name: str | None = None):
         self.elements = tuple(elements)
@@ -42,6 +46,10 @@ class FiniteRing:
         self._add = self._table(add, "add")
         self._mul = self._table(mul, "mul")
         self._validate()
+        self._sub = tuple(tuple(row[j] for j in self._neg) for row in self._add)
+        # crisp subrings by member set, and one object per distinct cut set
+        self._subrings: dict[frozenset, Subring] = {}
+        self._cut_sets: dict[frozenset, frozenset] = {}
 
     def _table(self, rows, which):
         n = len(self.elements)
@@ -133,7 +141,16 @@ class FiniteRing:
         return self._mul[i][j]
 
     def _sub_i(self, i, j):
-        return self._add[i][self._neg[j]]
+        return self._sub[i][j]
+
+    def subring(self, members: frozenset) -> "Subring":
+        """The crisp subring on these member labels, built once per ring and
+        member set; a set that is not closed is not kept, so it raises
+        RingError on every request."""
+        sub = self._subrings.get(members)
+        if sub is None:
+            sub = self._subrings[members] = Subring(self, members)
+        return sub
 
     @property
     def zero_i(self) -> int:
@@ -243,7 +260,7 @@ class Subring:
     def _to_idx(self, I: Iterable[str]) -> frozenset:
         return frozenset(self.ring.index(x) for x in I)
 
-    def _to_labels(self, idx: frozenset) -> frozenset:
+    def _to_labels(self, idx: Iterable[int]) -> frozenset:
         return frozenset(self.ring.elements[i] for i in idx)
 
     def _is_ideal_i(self, I: frozenset) -> bool:
@@ -262,13 +279,22 @@ class Subring:
 
     def is_ideal(self, I: Iterable[str]) -> bool:
         """Read from the verified table of ideals (see _closures)."""
-        return self._to_idx(I) in self._closures(True)
+        return frozenset(I) in self._closures(True)
 
     def _require_ideal(self, I: Iterable[str]) -> frozenset:
-        idx = self._to_idx(I)
-        if idx not in self._closures(True):
+        if frozenset(I) not in self._closures(True):
             raise RingError(f"{sorted(I)} is not an ideal of {self!r}")
-        return idx
+        return self._to_idx(I)
+
+    def _answer(self, I: Iterable[str], key: str, compute):
+        """compute(member indices of I), kept beside the ideal I in the
+        verified table; a non-ideal and an error are never kept, so each
+        raises on every call."""
+        idx = self._require_ideal(I)
+        answers = self._closures(True)[frozenset(I)]
+        if key not in answers:
+            answers[key] = compute(idx)
+        return answers[key]
 
     def _is_subring_i(self, S: frozenset) -> bool:
         r = self.ring
@@ -288,13 +314,14 @@ class Subring:
             out |= new
         return frozenset(out)
 
-    def _closures(self, ideal: bool) -> dict[frozenset, None]:
-        """Every ideal (subring) as member index sets: close {0}, then each
-        set found with one member of each coset outside it, so work grows
-        with the number found, not with 2^n. Re-checked by the definition
-        and sorted by size then sorted member index lists. Computed once
-        and kept on this subring, as the keys of a dict, so the order is
-        kept and a membership test is a lookup."""
+    def _closures(self, ideal: bool) -> dict[frozenset, dict]:
+        """Every ideal (subring) as a set of member labels: close {0}, then
+        each set found with one member of each coset outside it, so work
+        grows with the number found, not with 2^n. Re-checked by the
+        definition and sorted by size then sorted member index lists.
+        Computed once and kept on this subring, as the keys of a dict, so
+        the order is kept and a membership test is a lookup; each value
+        keeps the answers asked about that ideal (see _answer)."""
         found = self._found.get(ideal)
         if found is None:
             r = self.ring
@@ -311,23 +338,26 @@ class Subring:
             pred = self._is_ideal_i if ideal else self._is_subring_i
             if not all(map(pred, found)):
                 raise ConsistencyError("a closure fails the definition")
-            found = self._found[ideal] = dict.fromkeys(
-                sorted(found, key=lambda I: (len(I), sorted(I))))
+            found = self._found[ideal] = {
+                self._to_labels(I): {}
+                for I in sorted(found, key=lambda I: (len(I), sorted(I)))}
         return found
 
     def ideals(self) -> list[frozenset]:
         """All ideals, sorted by size then by the sorted member index lists.
         Found once per subring; each call returns a new list."""
-        return [self._to_labels(I) for I in self._closures(ideal=True)]
+        return list(self._closures(ideal=True))
 
     def subrings(self) -> list[frozenset]:
         """All subrings of this subring, in the order of ideals(). Found
         once per subring; each call returns a new list."""
-        return [self._to_labels(I) for I in self._closures(ideal=False)]
+        return list(self._closures(ideal=False))
 
     def is_prime_ideal(self, I: Iterable[str]) -> bool:
         """xy in I forces x in I or y in I; the whole subring is not prime."""
-        idx = self._require_ideal(I)
+        return self._answer(I, "prime", self._is_prime_i)
+
+    def _is_prime_i(self, idx: frozenset) -> bool:
         if idx == self._members_i:
             return False
         r = self.ring
@@ -340,7 +370,9 @@ class Subring:
     def is_primary_ideal(self, I: Iterable[str]) -> bool:
         """xy in I forces x in I, or y in I, or x**n and y**m in I for some
         exponents m, n > 1."""
-        idx = self._require_ideal(I)
+        return self._answer(I, "primary", self._is_primary_i)
+
+    def _is_primary_i(self, idx: frozenset) -> bool:
         if idx == self._members_i:
             return False
         r = self.ring
@@ -356,14 +388,17 @@ class Subring:
 
     def radical_of(self, I: Iterable[str]) -> frozenset:
         """Elements with some positive power inside I. Always an ideal of
-        this subring; that is looked up in the table on every call."""
-        idx = self._require_ideal(I)
+        this subring; that is looked up in the table when it is found."""
+        return self._answer(I, "radical", self._radical_i)
+
+    def _radical_i(self, idx: frozenset) -> frozenset:
         r = self.ring
-        rad = frozenset(i for i in self._members_i
-                        if any(p in idx for p in r.power_values_i(i, 1)))
+        rad = self._to_labels(
+            i for i in self._members_i
+            if any(p in idx for p in r.power_values_i(i, 1)))
         if rad not in self._closures(True):
             raise ConsistencyError("radical of an ideal is not an ideal")
-        return self._to_labels(rad)
+        return rad
 
     def primary_decomposition(self, I: Iterable[str]):
         """Minimal-cardinality list of primary ideals intersecting to I,

@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 from .errors import CapExceeded, ConsistencyError
 from .lattice import make_lattice
 from .rings import DECOMPOSITION_IDEAL_CAP, RingError, Subring, make_ring
-from .core import (LIdeal, LSubring, LSubset, ValidationError,
+from .core import (LIdeal, LSubring, LSubset, ValidationError, cuts,
                    ideal_inequality_search, intersect_many, level_cut,
                    level_cut_search, level_subring, level_cuts_all_ideals,
                    satisfies_ideal_inequalities, strong_cut, strong_subring,
@@ -165,17 +165,17 @@ def generate_instances(params: SuiteParams):
                 survey = ideal_survey(mu, cap=params.cap)
                 mlab = f"{base}/{_mu_label(mu)}"
                 ideals = survey.ideals
-                for eta in ideals:
-                    singles.append(Instance(f"{mlab}/{_eta_label(eta)}",
-                                            mu, (eta,)))
+                labels = [_eta_label(eta) for eta in ideals]
+                for eta, elab in zip(ideals, labels):
+                    singles.append(Instance(f"{mlab}/{elab}", mu, (eta,)))
+                zeros = [eta.ivalues[ring.zero_i] for eta in ideals]
                 for i in range(len(ideals)):
                     for j in range(i, len(ideals)):
-                        a, b = ideals[i], ideals[j]
-                        if a.zero_value() != b.zero_value():
+                        if zeros[i] != zeros[j]:
                             continue
                         pairs.append(Instance(
-                            f"{mlab}/{_eta_label(a)}+{_eta_label(b)}",
-                            mu, (a, b)))
+                            f"{mlab}/{labels[i]}+{labels[j]}",
+                            mu, (ideals[i], ideals[j])))
     if params.sample is not None:
         rng = random.Random(params.seed)
         if len(singles) > params.sample:
@@ -232,8 +232,7 @@ def _decompose(eta):
     """decompose(eta), kept in the memo of eta's survey; a failure is not
     stored, so every request raises it again, as a skip."""
     try:
-        return survey_memo(eta.parent, ("dec", eta.ivalues),
-                           lambda: decompose(eta))
+        return survey_memo(eta.parent, ("dec", eta.ivalues), decompose, eta)
     except NoCrispDecomposition as e:
         raise SkipCheck(f"no crisp decomposition (level {e.level!r})")
     except DecompositionError as e:
@@ -351,11 +350,23 @@ def _check_t2_12(inst, params):
     if not members:
         return None
     # the meet of the whole family is S(eta), kept in the survey memo
-    meets = itertools.chain([semiprime_radical(eta)], map(
-        intersect_many, itertools.combinations(members, 2)))
-    if not all(map(is_semiprime, meets)):
-        return "an intersection of semiprime ideals is not semiprime"
-    return None
+    if is_semiprime(semiprime_radical(eta)):
+        # each pair is met once per subring, in the survey memo too
+        bad = survey_memo(inst.mu, ("T2.12 pairs",), _non_semiprime_meets,
+                          inst.mu)
+        if not bad or not any((a.ivalues, b.ivalues) in bad for a, b
+                              in itertools.combinations(members, 2)):
+            return None
+    return "an intersection of semiprime ideals is not semiprime"
+
+
+def _non_semiprime_meets(mu):
+    """The pairs (as values, in survey order) of semiprime ideals of mu
+    whose meet is not semiprime."""
+    semiprime = [v for v in ideal_survey(mu).ideals if is_semiprime(v)]
+    return frozenset((a.ivalues, b.ivalues)
+                     for a, b in itertools.combinations(semiprime, 2)
+                     if not is_semiprime(intersect_many([a, b])))
 
 
 def _check_t2_13(inst, params):
@@ -508,8 +519,9 @@ def _check_l3_7(inst, params):
 def _check_l3_8(inst, params):
     a, b = inst.ideals
     both = intersect_many([a, b])
-    for t in a.lattice.elements:
-        if strong_cut(both, t) != (strong_cut(a, t) & strong_cut(b, t)):
+    for t, c, ca, cb in zip(a.lattice.elements, *(cuts(f, strong=True)
+                                                  for f in (both, a, b))):
+        if c != ca & cb:
             return f"strong cuts do not commute with meets at {t!r}"
     return None
 
@@ -517,8 +529,9 @@ def _check_l3_8(inst, params):
 def _check_l3_11(inst, params):
     a, b = inst.ideals
     both = intersect_many([a, b])
-    for t in a.lattice.elements:
-        if level_cut(both, t) != (level_cut(a, t) & level_cut(b, t)):
+    for t, c, ca, cb in zip(a.lattice.elements,
+                            *(cuts(f) for f in (both, a, b))):
+        if c != ca & cb:
             return f"level cuts do not commute with meets at {t!r}"
     return None
 

@@ -9,6 +9,7 @@ from lrings import (FiniteLattice, FiniteRing, LIdeal,
                     level_subring, strong_cut, strong_subring, sum_ideals,
                     sum_subsets)
 from lrings.core import level_cuts_all_ideals, satisfies_ideal_inequalities
+from lrings.radical import ideal_survey
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +125,47 @@ def test_cut_subrings_are_built_once_per_mu(z4_ring, chain3):
         assert level_subring(mu, r) is level_subring(mu, r)
         if strong_cut(mu, r):
             assert strong_subring(mu, r) is strong_subring(mu, r)
+
+
+def test_equal_cuts_share_one_subring_and_one_set(z4_ring, chain3):
+    # the level cut at t and the strong cut at m are {0, 2} for both
+    mu = LSubring(z4_ring, chain3, ["t", "m", "t", "m"])
+    nu = LSubring(z4_ring, chain3, ["t", "b", "t", "b"])
+    sub = level_subring(mu, "t")
+    assert sub.member_set == {"0", "2"}
+    assert level_subring(nu, "t") is sub
+    assert strong_subring(mu, "m") is sub
+    assert strong_subring(nu, "b") is sub
+    assert strong_cut(nu, "b") is level_cut(mu, "t")
+
+
+def test_cut_tables_live_in_the_survey_memo(z4_ring, chain3):
+    mu = LSubring.constant_top(z4_ring, chain3)
+    survey = ideal_survey(mu)
+    for eta in survey.ideals:
+        key = ("cuts", eta.ivalues)
+        assert key not in survey.memo
+        cut = strong_cut(eta, "m")
+        levels, strongs = survey.memo[key]
+        assert strongs[chain3.index("m")] is cut
+        assert levels == tuple(level_cut(eta, a) for a in chain3.elements)
+        assert levels == tuple(
+            frozenset(x for x in z4_ring.elements if chain3.leq(a, eta.value(x)))
+            for a in chain3.elements)
+
+
+def test_a_cut_that_is_not_a_subring_is_never_kept(m3):
+    # two L-subrings with the same strong cut at 0, {0, 2, 3, 4}, which is
+    # not closed: every request raises, and the ring keeps no subring on it
+    ring = FiniteRing.zn(6)
+    for values in (["1", "0", "a", "b", "a", "0"],
+                   ["1", "0", "b", "a", "b", "0"]):
+        mu = LSubring(ring, m3, values)
+        for _ in range(2):
+            with pytest.raises(RingError, match="not closed under subtraction"):
+                strong_subring(mu, "0")
+    assert strong_cut(mu, "0") == {"0", "2", "3", "4"}
+    assert strong_cut(mu, "0") not in ring._subrings
 
 
 def test_a_cut_that_is_not_a_subring_fails_on_every_request(m3):

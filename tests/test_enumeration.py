@@ -38,6 +38,7 @@ lattice arises this way, so the draws go well beyond chains, m3 and square.
 
 import dataclasses
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -283,6 +284,109 @@ def test_t1_7_rejects_a_non_ideal_both_sides_list(z4_chain3_mu, monkeypatch):
     assert (record.status, record.detail) == (
         "FAIL", "an enumerator lists ('t', 't', 't', 'b'), which its "
                 "characterization rejects")
+
+
+# -- the table-row pointwise tests against the per-call form --------------------
+
+def oracle_satisfies_ideal_inequalities(nu, mu):
+    """The pointwise characterization, evaluated pair by pair through the
+    lattice's and the ring's lookup methods."""
+    r, lat = nu.ring, nu.lattice
+    leq, meet, join = lat.leq_i, lat.meet_i, lat.join_i
+    e, m = nu.ivalues, mu.ivalues
+    n = len(r)
+    if not all(leq(e[i], m[i]) for i in range(n)):
+        return False
+    for i in range(n):
+        for j in range(n):
+            if not leq(meet(e[i], e[j]), e[r.add_i(i, r._neg[j])]):
+                return False
+            lo = join(meet(m[i], e[j]), meet(e[i], m[j]))
+            if not leq(lo, e[r.mul_i(i, j)]):
+                return False
+    return True
+
+
+def oracle_ideal_inequality_search(mu):
+    """The depth-first inequality search, testing each inequality filed
+    under its last element through the lookup methods, without a cap."""
+    ring, lat = mu.ring, mu.lattice
+    leq, meet, join = lat.leq_i, lat.meet_i, lat.join_i
+    m = mu.ivalues
+    n = len(ring)
+    bot = lat.index(lat.bottom)
+    domains = [lat.interval_i(bot, v) for v in m]
+    checks = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k, is_product in ((ring.add_i(i, ring._neg[j]), False),
+                                  (ring.mul_i(i, j), True)):
+                checks[max(i, j, k)].append((i, j, k, is_product))
+    e = [bot] * n
+    found = []
+
+    def extend(t):
+        if t == n:
+            found.append(tuple(e))
+            return
+        for v in domains[t]:
+            e[t] = v
+            if all(leq(join(meet(m[i], e[j]), meet(e[i], m[j])) if is_product
+                       else meet(e[i], e[j]), e[k])
+                   for i, j, k, is_product in checks[t]):
+                extend(t + 1)
+
+    extend(0)
+    return found
+
+
+def assert_table_rows_match_oracle(mu):
+    ring, lat = mu.ring, mu.lattice
+    assert ideal_inequality_search(mu, DEFAULT_CANDIDATE_CAP) == \
+        oracle_ideal_inequality_search(mu), mu
+    bot = lat.index(lat.bottom)
+    digits = [lat.interval_i(bot, v) for v in mu.ivalues]
+    for combo in itertools.product(*digits):
+        nu = LSubset._make(ring, lat, combo)
+        assert satisfies_ideal_inequalities(nu, mu) == \
+            oracle_satisfies_ideal_inequalities(nu, mu), (mu, combo)
+    # every one-value change of every ideal, mostly not ideals, and some
+    # not below mu
+    for eta in ideal_survey(mu).ideals:
+        for x, v in itertools.product(range(len(ring)), range(len(lat))):
+            vals = eta.ivalues[:x] + (v,) + eta.ivalues[x + 1:]
+            nu = LSubset._make(ring, lat, vals)
+            assert satisfies_ideal_inequalities(nu, mu) == \
+                oracle_satisfies_ideal_inequalities(nu, mu), (mu, vals)
+
+
+@pytest.mark.parametrize("lat_name", ["chain3", "square", "m3"])
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
+def test_table_rows_match_oracle(ring, lat_name):
+    for mu in _enumerate_mus(ring, make_lattice(lat_name), ALL_MUS):
+        assert_table_rows_match_oracle(mu)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(closure_lattices(), st.sampled_from(RINGS), st.data())
+def test_table_rows_match_oracle_on_drawn_lattices(lat, ring, data):
+    assume(len(lat) ** len(ring) <= MAX_BOX)
+    mus = _enumerate_mus(ring, lat, ALL_MUS)
+    assert_table_rows_match_oracle(data.draw(st.sampled_from(mus), label="mu"))
+
+
+def test_one_value_changes_reach_non_ideals():
+    # the perturbations above are not vacuous: on Z6 over m3 most are
+    # rejected by both forms
+    ring, lat = make_ring("Z6"), make_lattice("m3")
+    verdicts = Counter()
+    for mu in _enumerate_mus(ring, lat, ALL_MUS):
+        for eta in ideal_survey(mu).ideals:
+            for x, v in itertools.product(range(len(ring)), range(len(lat))):
+                vals = eta.ivalues[:x] + (v,) + eta.ivalues[x + 1:]
+                verdicts[satisfies_ideal_inequalities(
+                    LSubset._make(ring, lat, vals), mu)] += 1
+    assert verdicts[False] > verdicts[True] > 0
 
 
 # -- the survey as the memo for radicals and validation -----------------------

@@ -2,7 +2,7 @@
 
 A change to how ideals or L-subrings are enumerated must not move any
 report: the same instances, in the same order, with the same verdicts.
-These digests pin the JSON and text renderings of five small exhaustive
+These digests pin the JSON and text renderings of seven small exhaustive
 runs that between them cover a chain, a non-distributive lattice, a
 distributive non-chain lattice, a non-constant subring sweep and a ring
 that is not cyclic. The fourth runs the strong-cut lemmas ungated over
@@ -11,13 +11,19 @@ pins that every request for such a cut fails with the same message. The
 fifth runs the sum, radical and predicate theorems ungated over every
 L-subring of Z6 on m3, where 48 pairs of ideals have a sum that is not an
 ideal: it pins that every request for such a sum fails with the same text.
+The sixth is the benchmark's `mu-all` workload: every theorem but T1.7
+over every L-subring of Z6 on chain4. The seventh runs L3.8, L3.11, L3.15
+and T2.12 ungated over every L-subring of Z6 on m3; its 216 L3.8 failures
+name the level whose strong cuts do not commute with a meet, so it pins
+the text of a failure read from a cut table.
 """
 
 import hashlib
 
 import pytest
 
-from lrings.verify import SuiteParams, render_json, render_text, run_suite
+from lrings.verify import (THEOREM_IDS, SuiteParams, render_json,
+                           render_text, run_suite)
 
 
 def sha256(text: str) -> str:
@@ -43,13 +49,22 @@ GOLDEN = [
       "C2.26"),
      "f6b7c0041af4a176aa33f0959b0d0d34392fabd3936d4e786c6dcff663d3e08c",
      "09ffef79d6c5ed4c9990318659214fec02af9cbb1f8c6c90ef8187db547c1cd5"),
+    (dict(rings=("Z6",), lattices=("chain4",), mu_mode="all"),
+     tuple(t for t in THEOREM_IDS if t != "T1.7"),
+     "d031fc7e7ed1e7ef56f4812f1caa1ec813ae68a650880cc74efd15a6de00feec",
+     "761bd918789deb48beaecec1f5dce7a813e7543a3681b335bed98926516d7141"),
+    (dict(rings=("Z6",), lattices=("m3",), mu_mode="all", gate=False),
+     ("L3.8", "L3.11", "L3.15", "T2.12"),
+     "7a958f6a6d1a3c5c1816c1542f1d80f3741c0328656a459b2c4235fbb155d5d6",
+     "5c23ee6c47870052e94cb7527b362a62e0cf1a16eb09ccef8da456fecbaf02fb"),
 ]
 
 
 @pytest.mark.parametrize("kw,theorems,json_digest,text_digest", GOLDEN,
                          ids=["Z4-chain3-m3", "Z2xZ2-square", "Z4-chain3-all",
                               "Z6-m3-all-ungated-strong-cuts",
-                              "Z6-m3-all-ungated-sums"])
+                              "Z6-m3-all-ungated-sums", "Z6-chain4-all",
+                              "Z6-m3-all-ungated-cuts-meets"])
 def test_report_digests_unchanged(kw, theorems, json_digest, text_digest):
     result = run_suite(SuiteParams(**kw), ids=theorems)
     assert sha256("".join(render_json(result))) == json_digest

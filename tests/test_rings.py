@@ -2,7 +2,11 @@ import itertools
 
 import pytest
 
-from lrings import CapExceeded, FiniteRing, RingError, Subring, make_ring
+from lrings import (CapExceeded, ConsistencyError, FiniteRing, RingError,
+                    Subring, is_primary, level_cut, level_subring,
+                    make_lattice, make_ring)
+from lrings.radical import ideal_survey
+from lrings.verify import SuiteParams, _enumerate_mus
 
 
 def ideals_of(ring_name):
@@ -112,6 +116,51 @@ def test_non_ideal_input_rejected():
     _, z4 = ideals_of("Z4")
     with pytest.raises(RingError, match="not an ideal"):
         z4.is_prime_ideal({"0", "1"})
+
+
+def test_non_ideal_input_rejected_on_every_call():
+    _, z4 = ideals_of("Z4")
+    for ask in (z4.is_prime_ideal, z4.is_primary_ideal, z4.radical_of):
+        for _ in range(2):
+            with pytest.raises(RingError, match="not an ideal"):
+                ask({"0", "1"})
+
+
+def test_a_failed_answer_is_never_kept(monkeypatch):
+    _, z12 = ideals_of("Z12")
+
+    def broken(idx):
+        raise ConsistencyError("radical of an ideal is not an ideal")
+    monkeypatch.setattr(z12, "_radical_i", broken)
+    for _ in range(2):
+        with pytest.raises(ConsistencyError):
+            z12.radical_of({"0", "4", "8"})
+    monkeypatch.undo()
+    assert z12.radical_of({"0", "4", "8"}) == {"0", "2", "4", "6", "8", "10"}
+
+
+@pytest.mark.parametrize("name", ["Z12", "Z2xZ2"])
+def test_stored_crisp_answers_match_a_fresh_subring(name):
+    # every L-subring asks its cut subrings from the ring's shared table;
+    # what those keep must be what a fresh subring answers
+    ring, lat = make_ring(name), make_lattice("chain3")
+    for mu in _enumerate_mus(ring, lat, SuiteParams(mu_mode="all")):
+        for eta in ideal_survey(mu).ideals:
+            is_primary(eta)  # crisp primary tests of the level cuts
+            for t in lat.elements:
+                if level_cut(eta, t):
+                    level_subring(mu, t).radical_of(level_cut(eta, t))
+    stored = 0
+    for members, sub in ring._subrings.items():
+        fresh = Subring(ring, members)
+        for I, answers in sub._closures(True).items():
+            for key, ask in (("prime", fresh.is_prime_ideal),
+                             ("primary", fresh.is_primary_ideal),
+                             ("radical", fresh.radical_of)):
+                if key in answers:
+                    stored += 1
+                    assert answers[key] == ask(I), (sub, I, key)
+    assert stored > len(ring._subrings)
 
 
 def test_prime_implies_primary_everywhere():

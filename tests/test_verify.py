@@ -1,9 +1,10 @@
+import itertools
 import json
 from collections import Counter
 
 import pytest
 
-from lrings import LIdeal
+from lrings import LIdeal, intersect_many, semiprime_radical
 from lrings.decomp import decompose, lift_reducedness, project_level
 from lrings.radical import enumerate_family, is_semiprime
 from lrings.verify import (CheckRecord, Instance, SuiteParams, SuiteResult,
@@ -143,6 +144,44 @@ def test_t2_12_passes_over_many_semiprime_ideals(z12_setup):
     assert len(enumerate_family(eta, "semiprime")) == 8
     inst = Instance("z12/eta_three_level", z12_setup.mu, (eta,))
     assert check_theorem("T2.12", inst).status == "PASS"
+
+
+def test_t2_12_fails_exactly_where_a_rejected_meet_is_asked_for(monkeypatch):
+    # reject the meet of the first two semiprime ideals of some L-subring
+    # that are not nested; T2.12 must fail on exactly the ideals whose S or
+    # pair meets an inline check per ideal finds rejected
+    singles, _ = generate_instances(params(rings=("Z6",), lattices=("chain4",),
+                                           mu_mode="all"))
+    target = None
+    for inst in singles:
+        fam = enumerate_family(inst.ideals[0], "semiprime")
+        for a, b in itertools.combinations(fam, 2):
+            if not (a.contains(b) or b.contains(a)):
+                target = (inst.mu.ivalues, intersect_many([a, b]).ivalues)
+                break
+        if target:
+            break
+    assert target is not None
+
+    def patched(eta):
+        return (eta.parent.ivalues, eta.ivalues) != target and is_semiprime(eta)
+    monkeypatch.setattr("lrings.verify.is_semiprime", patched)
+
+    def inline(eta):
+        members = enumerate_family(eta, "semiprime")
+        meets = [intersect_many(list(pair))
+                 for pair in itertools.combinations(members, 2)]
+        return bool(members) and not all(
+            map(patched, [semiprime_radical(eta)] + meets))
+
+    failed = {inst.label for inst in singles
+              if check_theorem("T2.12", inst).status == "FAIL"}
+    expected = {inst.label for inst in singles if inline(inst.ideals[0])}
+    assert failed == expected
+    # not every ideal of that subring with a semiprime ideal above it
+    asked = {inst.label for inst in singles if inst.mu.ivalues == target[0]
+             and enumerate_family(inst.ideals[0], "semiprime")}
+    assert failed and failed < asked
 
 
 # -- suite ---------------------------------------------------------------------------
