@@ -10,22 +10,20 @@ disagreement raises ConsistencyError because it would mean either the code
 or a theorem is wrong. The pointwise inequalities read rows of the lattice
 and ring tables, each looked up once outside the inner loop.
 
-An L-subset's level and strong cuts are read from one table of all its
-cuts, kept under ("cuts", values) in its subring's survey memo once that
-survey is built; the ring keeps one object per distinct cut set. The
-crisp subring of a cut comes from the ring's table by member set, and a
-crisp Subring finds its ideals once; so the level criterion, the ideal
-survey and every crisp question about a cut of mu read one table per ring
-and member set. Once the subring's ideal survey is built, an LIdeal whose
-values are in it reuses the verdict both characterizations gave then; any
-other values are validated in full, and an ideal missing from the survey
-raises ConsistencyError.
+Each L-subring keeps one memo of what is asked again about it and its
+ideals (`subring_memo`), filled on first request and never holding a
+failure. An L-subset's level and strong cuts are one table kept there;
+the ring keeps one object per distinct cut set and one crisp subring per
+member set, so the level criterion, the ideal survey and every crisp
+question about a cut of mu read one table per ring and member set. Once
+the subring's ideal survey is built, an LIdeal whose values are in it
+reuses the verdict both characterizations gave then; any other values
+are validated in full, and an ideal missing from the survey raises
+ConsistencyError.
 Derived ideals (meets, sums, radicals, lifts) are built from their index
 values by `LIdeal._of`. It hands back the survey's own object for values
 the survey lists; only other values go through the constructor and its
 full validation.
-Its memo also keeps each sum of two of its ideals, keyed by values; a
-sum that is not an ideal is not kept, so it raises on every request.
 
 All values are immutable; every operation is pure.
 """
@@ -48,7 +46,7 @@ class ValidationError(ValueError):
 class LSubset:
     """Total map ring elements -> lattice elements, stored by index."""
 
-    __slots__ = ("ring", "lattice", "ivalues", "_survey", "_cut_subrings")
+    __slots__ = ("ring", "lattice", "ivalues", "_survey", "_memo")
 
     def __init__(self, ring: FiniteRing, lattice: FiniteLattice, values):
         self.ring = ring
@@ -70,7 +68,7 @@ class LSubset:
             raise ValidationError(f"values must be a mapping or a list, "
                                   f"not {values!r}")
         self.ivalues = tuple(lattice.index(v) for v in seq)
-        self._survey = self._cut_subrings = None
+        self._survey = self._memo = None
 
     @classmethod
     def _make(cls, ring, lattice, ivalues: tuple[int, ...]) -> "LSubset":
@@ -78,7 +76,7 @@ class LSubset:
         obj.ring = ring
         obj.lattice = lattice
         obj.ivalues = tuple(ivalues)
-        obj._survey = obj._cut_subrings = None
+        obj._survey = obj._memo = None
         return obj
 
     def value(self, x: str) -> str:
@@ -212,8 +210,9 @@ def level_cuts_all_ideals(nu: LSubset, mu: "LSubring") -> bool:
     leq = nu.lattice._leq
     if not all(leq[a][b] for a, b in zip(nu.ivalues, mu.ivalues)):
         return False
-    return all(not cut or _cut_subring(mu, a, strong=False).is_ideal(cut)
-               for a, cut in enumerate(_cuts_of(nu)[False]))
+    subring = mu.ring.subring  # mu's cut holds nu's, so it is not empty
+    return all(not cut or subring(mcut).is_ideal(cut)
+               for cut, mcut in zip(_cuts_of(nu)[False], cuts(mu)))
 
 
 def is_ideal_of(nu: LSubset, mu: "LSubring") -> bool:
@@ -304,10 +303,10 @@ def strong_cut(f: LSubset, a: str) -> frozenset[str]:
 
 def cuts(f: LSubset, strong: bool = False) -> tuple[frozenset[str], ...]:
     """f's level (strong) cuts, by lattice index. Both are kept under
-    ("cuts", values) in the memo of the survey of f's subring (of f itself
-    when it is an L-subring) once that survey is built."""
-    return survey_memo(getattr(f, "parent", f), ("cuts", f.ivalues),
-                       _cuts_of, f)[strong]
+    ("cuts", values) in the memo of f's subring (of f itself when it is
+    an L-subring)."""
+    return subring_memo(getattr(f, "parent", f), ("cuts", f.ivalues),
+                        _cuts_of, f)[strong]
 
 
 def _cuts_of(f: LSubset) -> tuple[tuple[frozenset, ...], ...]:
@@ -326,20 +325,14 @@ def _cuts_of(f: LSubset) -> tuple[tuple[frozenset, ...], ...]:
 
 def _cut_subring(mu: LSubset, a: int, strong: bool) -> Subring:
     """mu's strong (strict) or level cut at lattice index a as a crisp
-    Subring, taken from the ring's table by member set and kept on mu.
-    Only results are kept: an empty cut raises ValidationError, and a cut
-    that is not closed RingError, on every request."""
-    memo = mu._cut_subrings
-    if memo is None:
-        memo = mu._cut_subrings = {}
-    sub = memo.get((a, strong))
-    if sub is None:
-        cut = cuts(mu, strong)[a]
-        if not cut:
-            raise ValidationError(f"{'strong' if strong else 'level'} cut at "
-                                  f"{mu.lattice.elements[a]!r} is empty")
-        sub = memo[(a, strong)] = mu.ring.subring(cut)
-    return sub
+    Subring, from the ring's table by member set. An empty cut raises
+    ValidationError, and a cut that is not closed RingError, on every
+    request."""
+    cut = cuts(mu, strong)[a]
+    if not cut:
+        raise ValidationError(f"{'strong' if strong else 'level'} cut at "
+                              f"{mu.lattice.elements[a]!r} is empty")
+    return mu.ring.subring(cut)
 
 
 def level_subring(mu: LSubring, a: str) -> Subring:
@@ -425,13 +418,18 @@ def level_cut_search(ring: FiniteRing, lattice: FiniteLattice, allowed,
 # ---------------------------------------------------------------------------
 # sums and intersections
 
-def survey_memo(mu: LSubring, key, compute, *args):
-    """compute(*args), kept under key in the memo of mu's ideal survey once
-    that survey is built (a lookup never builds one); errors are never
-    kept."""
-    if mu._survey is None:
-        return compute(*args)
-    memo = mu._survey.memo
+def subring_memo(mu: LSubset, key, compute, *args):
+    """compute(*args), kept under key in mu's memo, which is made on first
+    use, whether or not mu's ideal survey is built; an error is never kept,
+    so it is raised again on every request. Keys are values: the
+    predicates' verdicts ("is_prime"/"is_semiprime"/"is_primary", v), the
+    prime, semiprime and pointwise radical ("prime"/"semiprime"/"rad", v),
+    the level and strong cuts ("cuts", v), sums ("sum", v, w) and
+    decompositions ("dec", v); and, once per subring, the pairs of values
+    of semiprime ideals whose meet is not semiprime ("T2.12 pairs",)."""
+    memo = mu._memo
+    if memo is None:
+        memo = mu._memo = {}
     if key not in memo:
         memo[key] = compute(*args)
     return memo[key]
@@ -471,8 +469,8 @@ def sum_ideals(a: LIdeal, b: LIdeal) -> LIdeal:
         raise ValidationError(
             f"values at zero differ ({a.zero_value()} vs {b.zero_value()}); "
             "the sum is only an ideal when they agree")
-    return survey_memo(a.parent, ("sum", a.ivalues, b.ivalues),
-                       _sum_ideals, a, b)
+    return subring_memo(a.parent, ("sum", a.ivalues, b.ivalues),
+                        _sum_ideals, a, b)
 
 
 def _sum_ideals(a: LIdeal, b: LIdeal) -> LIdeal:

@@ -13,18 +13,20 @@ Every ideal of a subring is found once, by the level-cut search in core
 when each non-empty cut is a crisp ideal of the subring's level cut). The
 resulting survey lists the ideals in canonical order (mixed-radix order of
 their values along the lattice's fixed linear extension), is cached on the
-subring, and answers every family and radical query. It is the one memo
-for what is asked again about an ideal: it keeps each predicate's verdict,
-each ideal's three radicals and cut table, the sums of its ideals and the
-pairs of semiprime ideals whose meet T2.12 rejects, once asked for, and
-never a failure; a prime radical's value at zero is checked once, when it
-is met. Its index of values lets LIdeal reuse the verdict both ideal
-characterizations gave when the survey was built. Only the prime and
+subring, and answers every family and radical query. Its index of values
+lets LIdeal reuse the verdict both ideal characterizations gave when the
+survey was built.
+
+What is asked again about an ideal (each predicate's verdict, its three
+radicals, its cut table and its sums) is kept in its subring's one memo,
+`core.subring_memo`. Each family meet is checked once, when it is met: a
+prime radical agrees with eta at zero, and a semiprime radical equals the
+pointwise radical (S = rad, proved in the README). Only the prime and
 semiprime radicals build a survey; the pointwise radical, cuts, sums and
-predicates read one only once it is built. The candidate cap is taken
-by `ideal_survey` alone and bounds the cut assignments its search tries; a
-cached survey is never refused, so a caller that wants a cap builds the
-survey with it first.
+predicates never do. The candidate cap is taken by `ideal_survey` alone
+and bounds the cut assignments its search tries; a cached survey is
+never refused, so a caller that wants a cap builds the survey with it
+first.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from .errors import ConsistencyError
 from .core import (LIdeal, LSubring, LSubset, ValidationError, cuts,
                    intersect_many, level_cut, level_cut_search, level_subring,
-                   survey_memo)
+                   subring_memo)
 
 DEFAULT_CANDIDATE_CAP = 2_000_000
 
@@ -45,7 +47,7 @@ DEFAULT_CANDIDATE_CAP = 2_000_000
 def is_prime(eta: LIdeal) -> bool:
     """For every pair, eta(xy) ^ mu(x) ^ mu(y) equals eta(x) ^ mu(y) or
     eta(y) ^ mu(x). The whole subring is never prime."""
-    return survey_memo(eta.parent, ("is_prime", eta.ivalues), _is_prime, eta)
+    return subring_memo(eta.parent, ("is_prime", eta.ivalues), _is_prime, eta)
 
 
 def _is_prime(eta: LIdeal) -> bool:
@@ -66,8 +68,8 @@ def _is_prime(eta: LIdeal) -> bool:
 
 def is_semiprime(eta: LIdeal) -> bool:
     """eta(x^n) ^ mu(x) = eta(x) for every x and every positive n."""
-    return survey_memo(eta.parent, ("is_semiprime", eta.ivalues),
-                       _is_semiprime, eta)
+    return subring_memo(eta.parent, ("is_semiprime", eta.ivalues),
+                        _is_semiprime, eta)
 
 
 def _is_semiprime(eta: LIdeal) -> bool:
@@ -125,8 +127,8 @@ def primary_by_level_cuts(eta: LIdeal) -> bool:
 def is_primary(eta: LIdeal) -> bool:
     """Both characterizations, run on the first request, which must agree;
     a disagreement raises ConsistencyError on every request."""
-    return survey_memo(eta.parent, ("is_primary", eta.ivalues),
-                       _is_primary, eta)
+    return subring_memo(eta.parent, ("is_primary", eta.ivalues),
+                        _is_primary, eta)
 
 
 def _is_primary(eta: LIdeal) -> bool:
@@ -154,7 +156,7 @@ def radical(eta: LIdeal) -> LIdeal:
     of (x - y)^(2N) holds x^k or y^k with k >= N, so eta takes at least
     rad(x) ^ rad(y) on it, and (xy)^N = x^N y^N gives rad(xy) >= mu(x) ^
     rad(y) and, symmetrically, rad(x) ^ mu(y). The README has it in full."""
-    return survey_memo(eta.parent, ("rad", eta.ivalues), _radical, eta)
+    return subring_memo(eta.parent, ("rad", eta.ivalues), _radical, eta)
 
 
 def _radical(eta: LIdeal) -> LIdeal:
@@ -187,20 +189,14 @@ class IdealSurvey:
 
     `index` maps each ideal's values to its position; an LIdeal whose values
     are in it skips validation, since both characterizations already agreed
-    on them. `memo` holds, keyed by values and filled on first request, the
-    predicates' verdicts ("is_prime"/"is_semiprime"/"is_primary", v), the
-    prime, semiprime and pointwise radical ("prime"/"semiprime"/"rad", v),
-    the level and strong cuts ("cuts", v), sums ("sum", v, w) and
-    decompositions ("dec", v); and, once per subring, the pairs of values
-    of semiprime ideals whose meet is not semiprime ("T2.12 pairs",)."""
+    on them. What is asked of the ideals later lives in the subring's memo
+    (`core.subring_memo`)."""
     ideals: tuple[LIdeal, ...]
     index: dict = field(init=False, repr=False, compare=False)
-    memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "index", {v.ivalues: k for k, v
                                            in enumerate(self.ideals)})
-        object.__setattr__(self, "memo", {})
 
 
 def ideal_survey(mu: LSubring, cap: int = DEFAULT_CANDIDATE_CAP) -> IdealSurvey:
@@ -236,19 +232,19 @@ def enumerate_family(eta: LIdeal, kind: str) -> tuple[LIdeal, ...]:
 
 
 def _family_meet(eta: LIdeal, kind: str) -> LIdeal:
-    """The meet of eta's family, kept in the memo of the survey it builds;
-    a prime radical is checked to agree with eta at zero when it is met. A
-    failure is not stored, so every later request raises it again."""
-    memo, key = ideal_survey(eta.parent).memo, (kind, eta.ivalues)
-    out = memo.get(key)
-    if out is None:
-        members = enumerate_family(eta, kind)
-        out = (intersect_many(members) if members
-               else LIdeal._of(eta.parent, eta.parent.ivalues))
+    """The meet of eta's family, the whole subring when it is empty, checked
+    against a second characterization: a prime radical agrees with eta at
+    zero, and a semiprime radical equals the pointwise radical."""
+    members = enumerate_family(eta, kind)
+    out = (intersect_many(members) if members
+           else LIdeal._of(eta.parent, eta.parent.ivalues))
+    if kind == "prime":
         zero = eta.ring.zero_i
-        if kind == "prime" and out.ivalues[zero] != eta.ivalues[zero]:
+        if out.ivalues[zero] != eta.ivalues[zero]:
             raise ConsistencyError("prime radical changed the value at zero")
-        memo[key] = out
+    elif out.ivalues != radical(eta).ivalues:
+        raise ConsistencyError(f"semiprime radical differs from the radical "
+                               f"of {eta!r}")
     return out
 
 
@@ -256,13 +252,15 @@ def prime_radical(eta: LIdeal) -> LIdeal:
     """Meet of all prime ideals of the subring containing eta; the whole
     subring when there are none. Always an ideal, and always agrees with
     eta at zero."""
-    return _family_meet(eta, "prime")
+    return subring_memo(eta.parent, ("prime", eta.ivalues), _family_meet,
+                        eta, "prime")
 
 
 def semiprime_radical(eta: LIdeal) -> LIdeal:
     """Meet of all semiprime ideals of the subring containing eta; the
-    whole subring when there are none."""
-    return _family_meet(eta, "semiprime")
+    whole subring when there are none. It always equals radical(eta)."""
+    return subring_memo(eta.parent, ("semiprime", eta.ivalues),
+                        _family_meet, eta, "semiprime")
 
 
 # ---------------------------------------------------------------------------

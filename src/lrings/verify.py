@@ -13,7 +13,7 @@ fixed parameters and seed.
 
 The candidate cap is spent only by instance generation (listing the
 L-subrings and building their ideal surveys) and by T1.7's inequality
-search. The survey memo also keeps each decomposition, never a failure.
+search. The subring memo also keeps each decomposition, never a failure.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .core import (LIdeal, LSubring, LSubset, ValidationError, cuts,
                    ideal_inequality_search, intersect_many, level_cut,
                    level_cut_search, level_subring, level_cuts_all_ideals,
                    satisfies_ideal_inequalities, strong_cut, strong_subring,
-                   sum_ideals, survey_memo)
+                   subring_memo, sum_ideals)
 from .radical import (DEFAULT_CANDIDATE_CAP, enumerate_family, ideal_survey,
                       is_primary, is_prime, is_semiprime, prime_radical,
                       radical, semiprime_radical)
@@ -229,10 +229,10 @@ def _gate_radical_proper(inst):
 # checkers; return None on pass, a detail string on failure
 
 def _decompose(eta):
-    """decompose(eta), kept in the memo of eta's survey; a failure is not
+    """decompose(eta), kept in the memo of eta's subring; a failure is not
     stored, so every request raises it again, as a skip."""
     try:
-        return survey_memo(eta.parent, ("dec", eta.ivalues), decompose, eta)
+        return subring_memo(eta.parent, ("dec", eta.ivalues), decompose, eta)
     except NoCrispDecomposition as e:
         raise SkipCheck(f"no crisp decomposition (level {e.level!r})")
     except DecompositionError as e:
@@ -280,7 +280,7 @@ def _check_l1_4(inst, params):
 
 
 def _check_l1_10(inst, params):
-    # through the survey memo, so mu + mu is summed once per subring
+    # through the subring memo, so mu + mu is summed once per subring
     eta = inst.ideals[0]
     if sum_ideals(eta, eta).ivalues != eta.ivalues:
         return "eta + eta != eta"
@@ -349,11 +349,11 @@ def _check_t2_12(inst, params):
     members = enumerate_family(eta, "semiprime")
     if not members:
         return None
-    # the meet of the whole family is S(eta), kept in the survey memo
+    # the meet of the whole family is S(eta), kept in the subring memo
     if is_semiprime(semiprime_radical(eta)):
-        # each pair is met once per subring, in the survey memo too
-        bad = survey_memo(inst.mu, ("T2.12 pairs",), _non_semiprime_meets,
-                          inst.mu)
+        # each pair is met once per subring, in the subring memo too
+        bad = subring_memo(inst.mu, ("T2.12 pairs",), _non_semiprime_meets,
+                           inst.mu)
         if not bad or not any((a.ivalues, b.ivalues) in bad for a, b
                               in itertools.combinations(members, 2)):
             return None

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -140,18 +141,39 @@ def test_equal_cuts_share_one_subring_and_one_set(z4_ring, chain3):
 
 
 def test_cut_tables_live_in_the_survey_memo(z4_ring, chain3):
+    # the survey build reads mu's own cuts, so only that table is kept
     mu = LSubring.constant_top(z4_ring, chain3)
     survey = ideal_survey(mu)
+    assert ("cuts", mu.ivalues) in mu._memo
     for eta in survey.ideals:
         key = ("cuts", eta.ivalues)
-        assert key not in survey.memo
+        assert (key not in mu._memo) == (eta.ivalues != mu.ivalues)
         cut = strong_cut(eta, "m")
-        levels, strongs = survey.memo[key]
+        levels, strongs = mu._memo[key]
         assert strongs[chain3.index("m")] is cut
         assert levels == tuple(level_cut(eta, a) for a in chain3.elements)
         assert levels == tuple(
             frozenset(x for x in z4_ring.elements if chain3.leq(a, eta.value(x)))
             for a in chain3.elements)
+
+
+def test_cut_tables_are_kept_before_any_survey(z4_ring, chain3, monkeypatch):
+    # every level and strong cut of an ideal of an unsurveyed subring reads
+    # one table, built on the first request
+    core = importlib.import_module("lrings.core")
+    built = []
+    cuts_of = core._cuts_of
+    monkeypatch.setattr(core, "_cuts_of",
+                        lambda f: built.append(f) or cuts_of(f))
+    mu = LSubring.constant_top(z4_ring, chain3)
+    eta = LIdeal(mu, ["t", "m", "t", "m"])
+    built.clear()  # validating eta builds its table without keeping it
+    for a in chain3.elements:
+        assert level_cut(eta, a) == frozenset(
+            x for x in z4_ring.elements if chain3.leq(a, eta.value(x)))
+        strong_cut(eta, a)
+    assert built == [eta]
+    assert mu._survey is None and ("cuts", eta.ivalues) in mu._memo
 
 
 def test_a_cut_that_is_not_a_subring_is_never_kept(m3):

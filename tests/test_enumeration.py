@@ -19,17 +19,22 @@ against each other: a depth-first search by the pointwise inequalities and
 the level-cut survey. The reference for that verdict is the old sweep of
 the whole box below mu, judging every candidate by both characterizations.
 
-The ideal survey is also the memo for each ideal's prime, semiprime and
-pointwise radical and for sums of its ideals; it lets LIdeal skip
-validation for values it already lists, and the predicates read its
-flags. The references for those are the meets of the box-sweep ideals of
-each kind above an ideal, the pointwise radical and sum formulas, a
-direct evaluation of each predicate with the survey detached, and full
-validation of every other candidate in the box.
+Each L-subring's memo keeps each ideal's prime, semiprime and pointwise
+radical, the predicates' verdicts and sums of its ideals; the ideal
+survey lets LIdeal skip validation for values it already lists. The
+references for those are the meets of the box-sweep ideals of each kind
+above an ideal, the pointwise radical and sum formulas, a direct
+evaluation of each predicate on an empty memo, and full validation of
+every other candidate in the box.
 
 Primary decompositions of crisp ideals are searched in the subring that
 holds them and nowhere else; every proper ideal of every subring of the
 crisp test rings must get primary factors that meet to it.
+
+Past the box sweep's reach, on Zn, the number of L-subrings, ideals and
+pairs has a closed form: every subgroup dZn is a subring and an ideal of
+every subring holding it, so the L-subsets whose level cuts are
+subgroups are counted from the divisors of n and lcm alone.
 
 Lattices are drawn as the closed sets of a random closure system on a
 ground set of at most three points, ordered by inclusion; every finite
@@ -38,6 +43,7 @@ lattice arises this way, so the draws go well beyond chains, m3 and square.
 
 import dataclasses
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -54,7 +60,7 @@ from lrings.errors import CapExceeded, ConsistencyError
 from lrings.rings import RingError
 from lrings.radical import DEFAULT_CANDIDATE_CAP
 from lrings.verify import (Instance, SuiteParams, _enumerate_mus,
-                           check_theorem)
+                           check_theorem, generate_instances)
 
 ALL_MUS = SuiteParams(mu_mode="all")  # every L-subring, default cap
 
@@ -389,7 +395,7 @@ def test_one_value_changes_reach_non_ideals():
     assert verdicts[False] > verdicts[True] > 0
 
 
-# -- the survey as the memo for radicals and validation -----------------------
+# -- the subring memo and the survey for radicals and validation -------------
 
 def box_meet(mu, ideals, lower):
     """Pointwise meet of the ideals (value tuples) that contain lower; mu
@@ -465,9 +471,9 @@ def assert_survey_memo_matches_box(ring, lat):
             expected = pointwise_radical(mu, eta)
             assert [radical(eta).ivalues for _ in range(2)] == [expected] * 2
             flags = [f(eta) for f in PREDICATES]
-            mu._survey = None
+            memo, mu._memo = mu._memo, None
             assert [f(eta) for f in PREDICATES] == flags, (mu, eta)
-            mu._survey = survey
+            mu._memo = memo
         for a, b in itertools.combinations_with_replacement(etas, 2):
             if a.zero_value() != b.zero_value():
                 continue
@@ -481,13 +487,20 @@ def assert_survey_memo_matches_box(ring, lat):
                         sum_ideals(a, b)
 
         # P and S agree on every carrier here, so the memo's split by kind
-        # shows only on a survey whose memo holds no semiprime ideal: S is mu
-        mu._survey = dataclasses.replace(survey)
-        mu._survey.memo.update(
-            (("is_semiprime", v.ivalues), False) for v in survey.ideals)
+        # shows only on a memo that holds no semiprime ideal: the family
+        # meet is mu, which the check against the radical rejects unless
+        # rad eta is mu too
+        memo = mu._memo
+        mu._memo = {("is_semiprime", v.ivalues): False for v in survey.ideals}
         for eta in etas:
             assert prime_radical(eta).ivalues == box_meet(mu, primes, eta.ivalues)
-            assert semiprime_radical(eta).ivalues == mu.ivalues
+            if pointwise_radical(mu, eta) == mu.ivalues:
+                assert semiprime_radical(eta).ivalues == mu.ivalues
+            else:
+                with pytest.raises(ConsistencyError,
+                                   match="differs from the radical"):
+                    semiprime_radical(eta)
+        mu._memo = memo
 
         for k, eta in enumerate(survey.ideals):
             def drop(t):
@@ -593,3 +606,87 @@ def test_all_l_subrings_of_z24_over_chain2():
     # the cut at the top is empty or one of Z24's eight subrings
     mus = _enumerate_mus(make_ring("Z24"), make_lattice("chain2"), ALL_MUS)
     assert len(mus) == 9
+
+
+# -- counts in closed form on Zn -------------------------------------------------
+
+def zn_cut_maps(n, lat):
+    """Every L-subset of Zn whose non-empty level cuts are subgroups, as
+    index tuples, found without ring tables. The subgroups are the dZn for
+    d | n, and dZn & eZn = lcm(d, e)Zn; an L-subset is its family of cuts C
+    with C(bottom) = Zn and C(a v b) = C(a) & C(b), so the maps from L to
+    the divisors (None for the empty set) with those two properties are
+    walked along the linear extension."""
+    def meet(d, e):
+        return None if d is None or e is None else math.lcm(d, e)
+
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    order = lat.linext
+    # the pairs of elements up to a (a itself included) whose join is a
+    joins = {a: [(b, c) for b in order[:k + 1] for c in order[:k + 1]
+                 if lat.join_i(b, c) == a] for k, a in enumerate(order)}
+    found = []
+
+    def extend(k, cut):
+        if k == len(order):
+            values = [0] * n
+            for a in order:  # the last cut holding x gives its value
+                if cut[a] is not None:
+                    for x in range(0, n, cut[a]):
+                        values[x] = a
+            found.append(tuple(values))
+            return
+        a = order[k]
+        for d in ([1] if k == 0 else divisors + [None]):
+            cut[a] = d
+            if all(meet(cut[b], cut[c]) == d for b, c in joins[a]):
+                extend(k + 1, cut)
+        del cut[a]
+
+    extend(0, {})
+    return found
+
+
+def zn_ideals(maps, lat, mus):
+    """The ideals (values) of each mu in mus (values), and the number of
+    pairs of ideals of one mu with equal zero values: nu is an ideal of mu
+    exactly when nu <= mu, since every subgroup of Zn inside a subring of
+    Zn is an ideal of it."""
+    leq = lat.leq_i
+    ideals = {mu: {v for v in maps if all(map(leq, v, mu))} for mu in mus}
+    pairs = sum(m * (m + 1) // 2 for found in ideals.values()
+                for m in Counter(v[0] for v in found).values())
+    return ideals, pairs
+
+
+@pytest.mark.parametrize("n, lat_name, mu_mode, n_mus, n_ideals, n_pairs", [
+    (12, "chain4", "all", 65, 1_308, 9_042),
+    (30, "chain4", "all", 100, 2_540, 23_801),
+    (36, "m3", "top", 1, 172, 10_576),
+])
+def test_counts_in_closed_form(n, lat_name, mu_mode, n_mus, n_ideals,
+                               n_pairs):
+    # past the box sweep's reach, the closed form checks that the searches
+    # find every L-subring and every ideal, and that instance generation
+    # lists each once
+    ring, lat = make_ring(f"Z{n}"), make_lattice(lat_name)
+    top = (lat.index(lat.top),) * n
+    maps = zn_cut_maps(n, lat)
+    assert top in maps and len(maps) == len(set(maps))
+    expected_mus = maps if mu_mode == "all" else [top]
+    ideals, pairs = zn_ideals(maps, lat, expected_mus)
+    assert (len(expected_mus), sum(map(len, ideals.values())), pairs) == \
+        (n_mus, n_ideals, n_pairs)
+
+    params = SuiteParams(rings=(f"Z{n}",), lattices=(lat_name,),
+                         mu_mode=mu_mode)
+    assert sorted(mu.ivalues for mu in _enumerate_mus(ring, lat, params)) \
+        == sorted(expected_mus)
+    singles, pair_instances = generate_instances(params)
+    assert (len(singles), len(pair_instances)) == (n_ideals, n_pairs)
+    mus = {id(inst.mu): inst.mu for inst in singles}.values()
+    assert sorted(mu.ivalues for mu in mus) == sorted(expected_mus)
+    for mu in mus:
+        assert set(ideal_survey(mu).index) == ideals[mu.ivalues]
+        assert set(ideal_inequality_search(mu, DEFAULT_CANDIDATE_CAP)) == \
+            ideals[mu.ivalues]

@@ -170,8 +170,9 @@ def test_cached_survey_is_never_refused():
 
 
 def test_survey_build_classifies_nothing(monkeypatch):
-    # the predicates answer through the survey memo on first request, so a
-    # build decides no ideal's primality and a repeat asks nothing again
+    # the predicates answer through the subring memo on first request, so a
+    # build decides no ideal's primality (it keeps only the cut tables it
+    # reads) and a repeat asks nothing again
     radical_mod = importlib.import_module("lrings.radical")
     calls = []
     by_def = radical_mod.primary_by_inequalities
@@ -179,7 +180,7 @@ def test_survey_build_classifies_nothing(monkeypatch):
                         lambda eta: calls.append(eta) or by_def(eta))
     fx = fixtures.z4_chain3()
     survey = ideal_survey(fx.mu)
-    assert calls == [] and survey.memo == {}
+    assert calls == [] and {k[0] for k in fx.mu._memo} == {"cuts"}
     eta = survey.ideals[1]
     assert [is_primary(eta), is_primary(eta)] == [True, True]
     assert calls == [eta]
@@ -233,18 +234,38 @@ def test_radicals_nest(z4_setup, z6_setup):
             assert mu.contains(p)
 
 
-def test_semiprime_radical_differs_from_prime_radical_on_n5():
-    # N5: 0 < a < b < 1 and 0 < c < 1. eta is semiprime but the meet of
-    # the prime ideals above it is larger, so S is not P read another way
+def n5_witness():
+    # N5: 0 < a < b < 1 and 0 < c < 1, over Z2xZ2, listed as (0,0), (0,1),
+    # (1,0), (1,1); a fresh subring each call, so its memo is empty
     n5 = make_lattice({"elements": ["0", "a", "b", "c", "1"],
                        "leq": [["0", "a"], ["a", "b"], ["b", "1"],
                                ["0", "c"], ["c", "1"]]})
-    ring = make_ring("Z2xZ2")  # (0,0), (0,1), (1,0), (1,1)
-    mu = LSubring(ring, n5, ["1", "b", "b", "1"])
-    eta = LIdeal(mu, ["1", "0", "a", "c"])
+    mu = LSubring(make_ring("Z2xZ2"), n5, ["1", "b", "b", "1"])
+    return mu, LIdeal(mu, ["1", "0", "a", "c"])
+
+
+def test_semiprime_radical_differs_from_prime_radical_on_n5():
+    # eta is semiprime but the meet of the prime ideals above it is
+    # larger, so S is not P read another way
+    mu, eta = n5_witness()
     assert radical(eta).values == semiprime_radical(eta).values == eta.values
     assert prime_radical(eta).values == ("1", "0", "b", "c")
     assert check_theorem("T1.7", Instance("n5", mu, (eta,))).status == "PASS"
+
+
+def test_semiprime_radical_is_checked_against_the_radical(monkeypatch):
+    # with semiprime read as prime, the family meet above the N5 witness is
+    # P(eta) = (1,0,b,c), not rad(eta) = eta: S is decided in one place, so
+    # the mutant raises instead of answering P, and raises again when asked
+    radical_mod = importlib.import_module("lrings.radical")
+    monkeypatch.setattr(radical_mod, "is_semiprime", radical_mod.is_prime)
+    mu, eta = n5_witness()
+    for _ in range(2):
+        with pytest.raises(ConsistencyError,
+                           match="semiprime radical differs from the radical"):
+            semiprime_radical(eta)
+    assert ("semiprime", eta.ivalues) not in mu._memo
+    assert prime_radical(eta).values == ("1", "0", "b", "c")
 
 
 # -- the capped prime ideal -------------------------------------------------------------
