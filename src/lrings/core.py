@@ -7,8 +7,8 @@ subtraction and multiplication; LIdeal wraps an ideal of such a subring.
 Ideal validation is eager and runs two independent characterizations (the
 pointwise inequalities and the everywhere-level-cut criterion); any
 disagreement raises ConsistencyError because it would mean either the code
-or a theorem is wrong. The pointwise inequalities read rows of the lattice
-and ring tables, each looked up once outside the inner loop.
+or a theorem is wrong. The pointwise inequalities and sums read rows of the
+lattice and ring tables, each looked up once outside the inner loop.
 
 Each L-subring keeps one memo of what is asked again about it and its
 ideals (`subring_memo`), filled on first request and never holding a
@@ -23,7 +23,15 @@ ConsistencyError.
 Derived ideals (meets, sums, radicals, lifts) are built from their index
 values by `LIdeal._of`. It hands back the survey's own object for values
 the survey lists; only other values go through the constructor and its
-full validation.
+full validation, and before the survey is built each value set it accepts
+is kept in the memo, so it is validated once.
+
+A surveyed ideal's position in its survey (`LIdeal._pos`, set only by
+`radical.ideal_survey`, with `mu._survey.ideals[eta._pos] is eta`) is its
+handle for order questions: whether one surveyed ideal contains another
+is a bit of the second one's row of the ideals above it, one int bitmask
+per ideal in the memo, and the meet of two surveyed ideals is kept there
+by their positions. Every other operand is compared pointwise.
 
 All values are immutable; every operation is pure.
 """
@@ -250,13 +258,17 @@ class LSubring(LSubset):
 
 
 class LIdeal(LSubset):
-    """An LSubset validated as an ideal of a given L-subring."""
+    """An LSubset validated as an ideal of a given L-subring. `_pos` is its
+    position in the parent's built survey when the survey lists this very
+    object (`parent._survey.ideals[eta._pos] is eta`), and None otherwise;
+    only `radical.ideal_survey` sets it."""
 
-    __slots__ = ("parent",)
+    __slots__ = ("parent", "_pos")
 
     def __init__(self, parent: LSubring, values):
         super().__init__(parent.ring, parent.lattice, values)
         self.parent = parent
+        self._pos = None
         survey = parent._survey
         if survey is not None and self.ivalues in survey.index:
             return
@@ -275,14 +287,30 @@ class LIdeal(LSubset):
     @classmethod
     def _of(cls, parent: LSubring, ivalues: tuple[int, ...]) -> "LIdeal":
         """The ideal of parent with these index values: the object of a
-        built survey that lists them; any other values go through the
-        constructor, which validates them in full."""
+        built survey that lists them. Any other values go through the
+        constructor, which validates them in full; before the survey is
+        built, what it accepts is kept under ("ideal", values) in the
+        subring memo, so each value set is validated once."""
         survey = parent._survey
-        k = None if survey is None else survey.index.get(ivalues)
-        if k is not None:
-            return survey.ideals[k]
+        if survey is None:
+            return subring_memo(parent, ("ideal", ivalues), cls._new, parent,
+                                ivalues)
+        k = survey.index.get(ivalues)
+        return cls._new(parent, ivalues) if k is None else survey.ideals[k]
+
+    @classmethod
+    def _new(cls, parent: LSubring, ivalues: tuple[int, ...]) -> "LIdeal":
         els = parent.lattice.elements
         return cls(parent, [els[i] for i in ivalues])
+
+    def contains(self, other: LSubset) -> bool:
+        """Pointwise other <= self; for two ideals listed by one built
+        survey, a bit of other's row of the ideals above it."""
+        k = self._pos
+        if (k is None or getattr(other, "_pos", None) is None
+                or other.parent is not self.parent):
+            return LSubset.contains(self, other)
+        return bool(ideals_above(other) >> k & 1)
 
     def zero_value(self) -> str:
         return self.lattice.elements[self.ivalues[self.ring.zero_i]]
@@ -421,18 +449,36 @@ def level_cut_search(ring: FiniteRing, lattice: FiniteLattice, allowed,
 def subring_memo(mu: LSubset, key, compute, *args):
     """compute(*args), kept under key in mu's memo, which is made on first
     use, whether or not mu's ideal survey is built; an error is never kept,
-    so it is raised again on every request. Keys are values: the
+    so it is raised again on every request. Most keys hold values: the
     predicates' verdicts ("is_prime"/"is_semiprime"/"is_primary", v), the
     prime, semiprime and pointwise radical ("prime"/"semiprime"/"rad", v),
-    the level and strong cuts ("cuts", v), sums ("sum", v, w) and
-    decompositions ("dec", v); and, once per subring, the pairs of values
-    of semiprime ideals whose meet is not semiprime ("T2.12 pairs",)."""
+    the level and strong cuts ("cuts", v), sums ("sum", v, w),
+    decompositions ("dec", v), and the ideals `LIdeal._of` validated before
+    the survey was built ("ideal", v). Others hold survey positions: the
+    bitmask of the ideals above ideal k ("above", k) and the meet of ideals
+    k < l ("meet", k, l); and, once per subring, the position pairs of
+    semiprime ideals whose meet is not semiprime ("T2.12 pairs",)."""
     memo = mu._memo
     if memo is None:
         memo = mu._memo = {}
-    if key not in memo:
-        memo[key] = compute(*args)
-    return memo[key]
+    try:
+        return memo[key]
+    except KeyError:
+        pass
+    out = memo[key] = compute(*args)
+    return out
+
+
+def ideals_above(eta: LIdeal) -> int:
+    """Bitmask of the ideals of eta's built survey that contain eta: bit l
+    is set when ideal l does. eta must be listed by the survey; the row is
+    kept under ("above", eta._pos) in the subring memo."""
+    return subring_memo(eta.parent, ("above", eta._pos), _above, eta)
+
+
+def _above(eta: LIdeal) -> int:
+    return sum(1 << l for l, v in enumerate(eta.parent._survey.ideals)
+               if LSubset.contains(v, eta))
 
 
 def sum_subsets(f: LSubset, g: LSubset) -> LSubset:
@@ -441,15 +487,14 @@ def sum_subsets(f: LSubset, g: LSubset) -> LSubset:
     if not f.same_carrier(g):
         raise ValidationError("carriers differ")
     r, lat = f.ring, f.lattice
-    meet, join, sub = lat._meet, lat._join, r._sub_i  # the loop is hot
+    meet, join = lat._meet, lat._join  # the loop is hot
     fv, gv = f.ivalues, g.ivalues
     bot = lat.index(lat.bottom)
-    n = len(r)
     out = []
-    for x in range(n):
+    for sub_x in r._sub:  # x - y for every y
         acc = bot
-        for y in range(n):
-            acc = join[acc][meet[fv[y]][gv[sub(x, y)]]]
+        for fy, d in zip(fv, sub_x):
+            acc = join[acc][meet[fy][gv[d]]]
         out.append(acc)
     return LSubset._make(r, lat, tuple(out))
 
@@ -502,7 +547,19 @@ def _require_one_parent(ideals: Sequence[LIdeal]) -> None:
 def intersect_many(fs: Sequence[LIdeal]) -> LIdeal:
     """Pointwise big-meet of a non-empty family of ideals of one L-subring,
     as an ideal of the first one's parent; a meet of ideals is always an
-    ideal, so one that fails to validate raises ConsistencyError."""
+    ideal, so one that fails to validate raises ConsistencyError. The meet
+    of two ideals listed by one built survey is kept in the subring memo
+    under ("meet", k, l), their positions k <= l."""
+    if len(fs) == 2:
+        a, b = fs
+        k, l = getattr(a, "_pos", None), getattr(b, "_pos", None)
+        if k is not None and l is not None and a.parent is b.parent:
+            key = ("meet", k, l) if k <= l else ("meet", l, k)
+            return subring_memo(a.parent, key, _intersect, fs)
+    return _intersect(fs)
+
+
+def _intersect(fs: Sequence[LIdeal]) -> LIdeal:
     if not fs:
         raise ValidationError("empty family")
     first = fs[0]

@@ -15,11 +15,16 @@ resulting survey lists the ideals in canonical order (mixed-radix order of
 their values along the lattice's fixed linear extension), is cached on the
 subring, and answers every family and radical query. Its index of values
 lets LIdeal reuse the verdict both ideal characterizations gave when the
-survey was built.
+survey was built. The survey stamps each ideal with its position (`_pos`;
+`mu._survey.ideals[eta._pos] is eta`), and eta's family is read off its
+row of the ideals above it (`core.ideals_above`), so containment is asked
+once per pair of ideals.
 
 What is asked again about an ideal (each predicate's verdict, its three
 radicals, its cut table and its sums) is kept in its subring's one memo,
-`core.subring_memo`. Each family meet is checked once, when it is met: a
+`core.subring_memo`. The predicates and the pointwise radical read rows of
+the lattice's tables and of the ring's product and power tables, looked up
+outside the inner loop. Each family meet is checked once, when it is met: a
 prime radical agrees with eta at zero, and a semiprime radical equals the
 pointwise radical (S = rad, proved in the README). Only the prime and
 semiprime radicals build a survey; the pointwise radical, cuts, sums and
@@ -35,8 +40,8 @@ from dataclasses import dataclass, field
 
 from .errors import ConsistencyError
 from .core import (LIdeal, LSubring, LSubset, ValidationError, cuts,
-                   intersect_many, level_cut, level_cut_search, level_subring,
-                   subring_memo)
+                   ideals_above, intersect_many, level_cut, level_cut_search,
+                   level_subring, subring_memo)
 
 DEFAULT_CANDIDATE_CAP = 2_000_000
 
@@ -54,14 +59,13 @@ def _is_prime(eta: LIdeal) -> bool:
     mu = eta.parent
     if eta.ivalues == mu.ivalues:
         return False
-    r, lat = eta.ring, eta.lattice
-    meet = lat.meet_i
+    meet = eta.lattice._meet  # the loop is hot
     e, m = eta.ivalues, mu.ivalues
-    n = len(r)
-    for i in range(n):
-        for j in range(n):
-            lhs = meet(e[r.mul_i(i, j)], meet(m[i], m[j]))
-            if lhs != meet(e[i], m[j]) and lhs != meet(e[j], m[i]):
+    for ei, mi, mul_i in zip(e, m, eta.ring._mul):
+        meet_e, meet_m = meet[ei], meet[mi]
+        for ej, mj, p in zip(e, m, mul_i):
+            lhs = meet[e[p]][meet_m[mj]]
+            if lhs != meet_e[mj] and lhs != meet[ej][mi]:
                 return False
     return True
 
@@ -76,13 +80,12 @@ def _is_semiprime(eta: LIdeal) -> bool:
     mu = eta.parent
     if eta.ivalues == mu.ivalues:
         return False
-    r, lat = eta.ring, eta.lattice
-    meet = lat.meet_i
+    meet = eta.lattice._meet
     e, m = eta.ivalues, mu.ivalues
-    for i in range(len(r)):
-        for p in r.power_values_i(i, 1):
-            if meet(e[p], m[i]) != e[i]:
-                return False
+    for ei, mi, powers in zip(e, m, eta.ring.powers(1)):
+        meet_m = meet[mi]
+        if any(meet_m[e[p]] != ei for p in powers):
+            return False
     return True
 
 
@@ -94,19 +97,18 @@ def primary_by_inequalities(eta: LIdeal) -> bool:
     if eta.ivalues == mu.ivalues:
         return False
     r, lat = eta.ring, eta.lattice
-    meet, leq = lat.meet_i, lat.leq_i
+    meet, leq = lat._meet, lat._leq  # the loop is hot
     e, m = eta.ivalues, mu.ivalues
-    n = len(r)
     # value sets eta(x^k) ^ mu(x) over k > 1, one per element
-    high_powers = [tuple({meet(e[p], m[i]) for p in r.power_values_i(i, 2)})
-                   for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            rhs = meet(e[r.mul_i(i, j)], meet(m[i], m[j]))
-            if leq(rhs, meet(e[i], m[j])) or leq(rhs, meet(e[j], m[i])):
+    high_powers = [tuple({meet[mi][e[p]] for p in powers})
+                   for mi, powers in zip(m, r.powers(2))]
+    for ei, mi, mul_i, high_i in zip(e, m, r._mul, high_powers):
+        meet_e, meet_m = meet[ei], meet[mi]
+        for ej, mj, p, high_j in zip(e, m, mul_i, high_powers):
+            below = leq[meet[e[p]][meet_m[mj]]]
+            if below[meet_e[mj]] or below[meet[ej][mi]]:
                 continue
-            if not any(leq(rhs, meet(a, b))
-                       for a in high_powers[i] for b in high_powers[j]):
+            if not any(below[meet[a][b]] for a in high_i for b in high_j):
                 return False
     return True
 
@@ -162,14 +164,15 @@ def radical(eta: LIdeal) -> LIdeal:
 def _radical(eta: LIdeal) -> LIdeal:
     mu = eta.parent
     r, lat = eta.ring, eta.lattice
-    meet, join = lat.meet_i, lat.join_i
+    meet, join = lat._meet, lat._join
     bot = lat.index(lat.bottom)
-    e, m = eta.ivalues, mu.ivalues
+    e = eta.ivalues
     out = []
-    for i in range(len(r)):
+    for mi, powers in zip(mu.ivalues, r.powers(1)):
+        meet_m = meet[mi]
         acc = bot
-        for p in r.power_values_i(i, 1):
-            acc = join(acc, meet(e[p], m[i]))
+        for p in powers:
+            acc = join[acc][meet_m[e[p]]]
         out.append(acc)
     raw = LSubset._make(r, lat, tuple(out))
     if not (mu.contains(raw) and raw.contains(eta)):
@@ -214,21 +217,27 @@ def ideal_survey(mu: LSubring, cap: int = DEFAULT_CANDIDATE_CAP) -> IdealSurvey:
         label = lat.elements[a]
         return level_subring(mu, label).ideals() if level_cut(mu, label) else []
 
-    mu._survey = IdealSurvey(tuple(
-        LIdeal._of(mu, v)
-        for v in level_cut_search(ring, lat, crisp_ideals, cap)))
+    ideals = tuple(LIdeal._new(mu, v)
+                   for v in level_cut_search(ring, lat, crisp_ideals, cap))
+    for k, eta in enumerate(ideals):
+        eta._pos = k
+    mu._survey = IdealSurvey(ideals)
     return mu._survey
 
 
 def enumerate_family(eta: LIdeal, kind: str) -> tuple[LIdeal, ...]:
     """All prime/semiprime ideals of the parent subring containing eta, in
-    canonical order: the parent's ideal survey filtered by kind and by
-    containment."""
+    canonical order: the ideals on eta's row of the parent's ideal survey
+    (`core.ideals_above`), filtered by kind."""
     if kind not in ("prime", "semiprime"):
         raise ValueError(f"kind must be 'prime' or 'semiprime', not {kind!r}")
     member = is_prime if kind == "prime" else is_semiprime
-    return tuple(v for v in ideal_survey(eta.parent).ideals
-                 if v.contains(eta) and member(v))
+    mu = eta.parent
+    ideals = ideal_survey(mu).ideals
+    if eta._pos is None:
+        eta = LIdeal._of(mu, eta.ivalues)  # the survey's own object
+    row = ideals_above(eta)
+    return tuple(v for l, v in enumerate(ideals) if row >> l & 1 and member(v))
 
 
 def _family_meet(eta: LIdeal, kind: str) -> LIdeal:

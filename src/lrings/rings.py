@@ -47,9 +47,11 @@ class FiniteRing:
         self._mul = self._table(mul, "mul")
         self._validate()
         self._sub = tuple(tuple(row[j] for j in self._neg) for row in self._add)
-        # crisp subrings by member set, and one object per distinct cut set
+        # crisp subrings by member set, one object per distinct cut set, and
+        # each element's power values by minimum exponent
         self._subrings: dict[frozenset, Subring] = {}
         self._cut_sets: dict[frozenset, frozenset] = {}
+        self._powers: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def _table(self, rows, which):
         n = len(self.elements)
@@ -171,6 +173,15 @@ class FiniteRing:
         cycle_start = seen[p]
         vals = {v for (k, v) in seq if k >= min_exp or k >= cycle_start}
         return tuple(sorted(vals))
+
+    def powers(self, min_exp: int) -> tuple[tuple[int, ...], ...]:
+        """power_values_i(x, min_exp) for every x, by index; built once per
+        exponent, on first use."""
+        table = self._powers.get(min_exp)
+        if table is None:
+            table = self._powers[min_exp] = tuple(
+                self.power_values_i(x, min_exp) for x in range(len(self)))
+        return table
 
     def __len__(self):
         return len(self.elements)
@@ -380,9 +391,9 @@ class Subring:
             for j in self._members_i:
                 if r.mul_i(i, j) not in idx or i in idx or j in idx:
                     continue
-                if not any(p in idx for p in r.power_values_i(i, 2)):
+                if not any(p in idx for p in r.powers(2)[i]):
                     return False
-                if not any(p in idx for p in r.power_values_i(j, 2)):
+                if not any(p in idx for p in r.powers(2)[j]):
                     return False
         return True
 
@@ -395,7 +406,7 @@ class Subring:
         r = self.ring
         rad = self._to_labels(
             i for i in self._members_i
-            if any(p in idx for p in r.power_values_i(i, 1)))
+            if any(p in idx for p in r.powers(1)[i]))
         if rad not in self._closures(True):
             raise ConsistencyError("radical of an ideal is not an ideal")
         return rad

@@ -28,10 +28,10 @@ from .errors import CapExceeded, ConsistencyError
 from .lattice import make_lattice
 from .rings import DECOMPOSITION_IDEAL_CAP, RingError, Subring, make_ring
 from .core import (LIdeal, LSubring, LSubset, ValidationError, cuts,
-                   ideal_inequality_search, intersect_many, level_cut,
-                   level_cut_search, level_subring, level_cuts_all_ideals,
-                   satisfies_ideal_inequalities, strong_cut, strong_subring,
-                   subring_memo, sum_ideals)
+                   ideal_inequality_search, intersect_many, level_cut_search,
+                   level_subring, level_cuts_all_ideals,
+                   satisfies_ideal_inequalities, strong_subring, subring_memo,
+                   sum_ideals)
 from .radical import (DEFAULT_CANDIDATE_CAP, enumerate_family, ideal_survey,
                       is_primary, is_prime, is_semiprime, prime_radical,
                       radical, semiprime_radical)
@@ -263,17 +263,17 @@ def _check_t1_7(inst, params):
 def _check_l1_4(inst, params):
     mu = inst.mu
     lat = mu.lattice
-    for r in lat.elements:
-        if not strong_cut(mu, r):
+    levels = cuts(mu)
+    for r, sc in zip(lat.elements, cuts(mu, strong=True)):
+        if not sc:
             continue
         try:
             sub = strong_subring(mu, r)
         except RingError as e:
             return f"strong cut at {r!r} is not a subring: {e}"
-        for t in lat.elements:
+        for t, lc in zip(lat.elements, levels):
             if not lat.lt(r, t):
                 continue
-            lc = level_cut(mu, t)
             if lc and not lc <= sub.member_set:
                 return f"level cut at {t!r} escapes the strong cut at {r!r}"
     return None
@@ -354,17 +354,17 @@ def _check_t2_12(inst, params):
         # each pair is met once per subring, in the subring memo too
         bad = subring_memo(inst.mu, ("T2.12 pairs",), _non_semiprime_meets,
                            inst.mu)
-        if not bad or not any((a.ivalues, b.ivalues) in bad for a, b
+        if not bad or not any((a._pos, b._pos) in bad for a, b
                               in itertools.combinations(members, 2)):
             return None
     return "an intersection of semiprime ideals is not semiprime"
 
 
 def _non_semiprime_meets(mu):
-    """The pairs (as values, in survey order) of semiprime ideals of mu
+    """The pairs (as positions, in survey order) of semiprime ideals of mu
     whose meet is not semiprime."""
     semiprime = [v for v in ideal_survey(mu).ideals if is_semiprime(v)]
-    return frozenset((a.ivalues, b.ivalues)
+    return frozenset((a._pos, b._pos)
                      for a, b in itertools.combinations(semiprime, 2)
                      if not is_semiprime(intersect_many([a, b])))
 
@@ -491,8 +491,7 @@ def _check_c2_26(inst, params):
 def _check_l3_4(inst, params):
     eta = inst.ideals[0]
     mu = inst.mu
-    for t in mu.lattice.elements:
-        sc = strong_cut(eta, t)
+    for t, sc in zip(mu.lattice.elements, cuts(eta, strong=True)):
         if not sc:
             continue
         sub = strong_subring(mu, t)
@@ -504,12 +503,9 @@ def _check_l3_4(inst, params):
 def _check_l3_7(inst, params):
     eta = inst.ideals[0]
     mu = inst.mu
-    for t in mu.lattice.elements:
-        sc = strong_cut(eta, t)
-        if not sc:
-            continue
-        msc = strong_cut(mu, t)
-        if sc == msc:
+    for t, sc, msc in zip(mu.lattice.elements, cuts(eta, strong=True),
+                          cuts(mu, strong=True)):
+        if not sc or sc == msc:
             continue
         if not strong_subring(mu, t).is_primary_ideal(sc):
             return f"strong cut at {t!r} is neither everything nor primary"
@@ -539,10 +535,8 @@ def _check_l3_11(inst, params):
 def _check_l3_15(inst, params):
     eta = inst.ideals[0]
     mu = inst.mu
-    r = radical(eta)
-    for t in mu.lattice.elements:
-        cut = level_cut(eta, t)
-        rcut = level_cut(r, t)
+    for t, cut, rcut in zip(mu.lattice.elements, cuts(eta),
+                            cuts(radical(eta))):
         if not cut:
             if rcut:
                 return f"radical cut at {t!r} non-empty while eta's is empty"
@@ -563,9 +557,9 @@ def _check_t3_9(inst, params):
     eta = inst.ideals[0]
     dec = _decompose(eta)
     mu = inst.mu
-    for t in mu.lattice.elements:
-        sc = strong_cut(eta, t)
-        if not sc or sc == strong_cut(mu, t):
+    for t, sc, msc in zip(mu.lattice.elements, cuts(eta, strong=True),
+                          cuts(mu, strong=True)):
+        if not sc or sc == msc:
             continue
         try:
             project_level(dec, t, strong=True)
@@ -578,9 +572,7 @@ def _check_t3_16(inst, params):
     eta = inst.ideals[0]
     dec = _decompose(eta)
     mu = inst.mu
-    for t in mu.lattice.elements:
-        cut = level_cut(eta, t)
-        mcut = level_cut(mu, t)
+    for t, cut, mcut in zip(mu.lattice.elements, cuts(eta), cuts(mu)):
         if not cut or cut == mcut:
             continue
         try:

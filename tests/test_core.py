@@ -1,16 +1,18 @@
 import importlib
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrings import (FiniteLattice, FiniteRing, LIdeal,
+from lrings import (DecompositionError, FiniteLattice, FiniteRing, LIdeal,
                     LSubring, LSubset, RingError, Subring, ValidationError,
-                    intersect_many, is_ideal_of, is_l_subring, level_cut,
-                    level_subring, strong_cut, strong_subring, sum_ideals,
-                    sum_subsets)
-from lrings.core import level_cuts_all_ideals, satisfies_ideal_inequalities
-from lrings.radical import ideal_survey
+                    decompose, intersect_many, is_ideal_of, is_l_subring,
+                    level_cut, level_subring, make_lattice, make_ring,
+                    strong_cut, strong_subring, sum_ideals, sum_subsets)
+from lrings.core import (ideal_inequality_search, level_cuts_all_ideals,
+                         satisfies_ideal_inequalities)
+from lrings.radical import DEFAULT_CANDIDATE_CAP, ideal_survey
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +176,30 @@ def test_cut_tables_are_kept_before_any_survey(z4_ring, chain3, monkeypatch):
         strong_cut(eta, a)
     assert built == [eta]
     assert mu._survey is None and ("cuts", eta.ivalues) in mu._memo
+
+
+def test_derived_ideals_are_validated_once_before_any_survey(monkeypatch):
+    # decomposing every ideal of an unsurveyed subring meets, lifts and
+    # slices the same values again and again; LIdeal._of keeps each ideal
+    # it validated, so each value set passes both characterizations once
+    core = importlib.import_module("lrings.core")
+    validated = Counter()
+    by_both = core.is_ideal_of
+    monkeypatch.setattr(core, "is_ideal_of", lambda nu, mu: validated.update(
+        [nu.ivalues]) or by_both(nu, mu))
+    mu = LSubring.constant_top(make_ring("Z30"), make_lattice("chain4"))
+    values = ideal_inequality_search(mu, DEFAULT_CANDIDATE_CAP)
+    assert len(values) == 100
+    for v in values:
+        eta = LIdeal._of(mu, v)
+        assert LIdeal._of(mu, v) is eta
+        try:
+            decompose(eta)
+        except DecompositionError:  # mu itself
+            assert v == mu.ivalues
+    assert mu._survey is None
+    assert set(validated) == set(values)  # 487 calls before the memo
+    assert max(validated.values()) == 1
 
 
 def test_a_cut_that_is_not_a_subring_is_never_kept(m3):

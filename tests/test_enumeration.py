@@ -20,12 +20,15 @@ the level-cut survey. The reference for that verdict is the old sweep of
 the whole box below mu, judging every candidate by both characterizations.
 
 Each L-subring's memo keeps each ideal's prime, semiprime and pointwise
-radical, the predicates' verdicts and sums of its ideals; the ideal
-survey lets LIdeal skip validation for values it already lists. The
-references for those are the meets of the box-sweep ideals of each kind
-above an ideal, the pointwise radical and sum formulas, a direct
-evaluation of each predicate on an empty memo, and full validation of
-every other candidate in the box.
+radical, the predicates' verdicts, sums and meets of its ideals, and each
+surveyed ideal's row of the ideals above it; the ideal survey lets LIdeal
+skip validation for values it already lists. The references for those
+are the meets of the box-sweep ideals of each kind above an ideal, the
+pointwise radical, sum and meet formulas, the pointwise containment test,
+a direct evaluation of each predicate on an empty memo, and full
+validation of every other candidate in the box. The predicate, radical
+and sum kernels read table rows; their references are the old forms that
+call the lattice's and ring's lookup methods pair by pair.
 
 Primary decompositions of crisp ideals are searched in the subring that
 holds them and nowhere else; every proper ideal of every subring of the
@@ -54,11 +57,13 @@ from lrings import (FiniteLattice, LIdeal, LSubring, Subring, ideal_survey,
                     make_ring, prime_radical, radical, semiprime_radical,
                     sum_ideals)
 from lrings.core import (LSubset, ValidationError, ideal_inequality_search,
-                         is_l_subring, level_cut_search, level_cuts_all_ideals,
-                         satisfies_ideal_inequalities)
+                         intersect_many, is_l_subring, level_cut_search,
+                         level_cuts_all_ideals, satisfies_ideal_inequalities,
+                         sum_subsets)
 from lrings.errors import CapExceeded, ConsistencyError
 from lrings.rings import RingError
-from lrings.radical import DEFAULT_CANDIDATE_CAP
+from lrings.radical import (DEFAULT_CANDIDATE_CAP, _is_prime, _is_semiprime,
+                            _radical, primary_by_inequalities)
 from lrings.verify import (Instance, SuiteParams, _enumerate_mus,
                            check_theorem, generate_instances)
 
@@ -412,6 +417,77 @@ def box_meet(mu, ideals, lower):
 PREDICATES = (is_prime, is_semiprime, is_primary)
 
 
+# the per-call forms of the table-row kernels, as the oracles for them
+
+def oracle_is_prime(eta):
+    mu = eta.parent
+    if eta.ivalues == mu.ivalues:
+        return False
+    r, meet = eta.ring, eta.lattice.meet_i
+    e, m = eta.ivalues, mu.ivalues
+    for i in range(len(r)):
+        for j in range(len(r)):
+            lhs = meet(e[r.mul_i(i, j)], meet(m[i], m[j]))
+            if lhs != meet(e[i], m[j]) and lhs != meet(e[j], m[i]):
+                return False
+    return True
+
+
+def oracle_is_semiprime(eta):
+    mu = eta.parent
+    if eta.ivalues == mu.ivalues:
+        return False
+    r, meet = eta.ring, eta.lattice.meet_i
+    e, m = eta.ivalues, mu.ivalues
+    return all(meet(e[p], m[i]) == e[i]
+               for i in range(len(r)) for p in r.power_values_i(i, 1))
+
+
+def oracle_primary_by_inequalities(eta):
+    mu = eta.parent
+    if eta.ivalues == mu.ivalues:
+        return False
+    r, lat = eta.ring, eta.lattice
+    meet, leq = lat.meet_i, lat.leq_i
+    e, m = eta.ivalues, mu.ivalues
+    n = len(r)
+    high_powers = [{meet(e[p], m[i]) for p in r.power_values_i(i, 2)}
+                   for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            rhs = meet(e[r.mul_i(i, j)], meet(m[i], m[j]))
+            if leq(rhs, meet(e[i], m[j])) or leq(rhs, meet(e[j], m[i])):
+                continue
+            if not any(leq(rhs, meet(a, b))
+                       for a in high_powers[i] for b in high_powers[j]):
+                return False
+    return True
+
+
+def oracle_radical(eta):
+    """The join of eta over the power values, before the ideal check."""
+    r, lat, m = eta.ring, eta.lattice, eta.parent.ivalues
+    out = []
+    for i in range(len(r)):
+        acc = lat.index(lat.bottom)
+        for p in r.power_values_i(i, 1):
+            acc = lat.join_i(acc, lat.meet_i(eta.ivalues[p], m[i]))
+        out.append(acc)
+    return tuple(out)
+
+
+def oracle_sum_subsets(f, g):
+    r, lat = f.ring, f.lattice
+    out = []
+    for x in range(len(r)):
+        acc = lat.index(lat.bottom)
+        for y in range(len(r)):
+            acc = lat.join_i(acc, lat.meet_i(f.ivalues[y],
+                                             g.ivalues[r._sub_i(x, y)]))
+        out.append(acc)
+    return tuple(out)
+
+
 def pointwise_radical(mu, eta):
     """(rad eta)(x) = v [eta(x^n) ^ mu(x)] over x, x^2, ..., x^|R|, which
     holds every power of x, as value indices."""
@@ -478,6 +554,8 @@ def assert_survey_memo_matches_box(ring, lat):
             if a.zero_value() != b.zero_value():
                 continue
             expected = pointwise_sum(a, b)
+            assert sum_subsets(a, b).ivalues == oracle_sum_subsets(a, b) == \
+                expected
             if expected in ideals:
                 assert [sum_ideals(a, b).ivalues for _ in range(2)] == \
                     [expected] * 2
@@ -501,6 +579,34 @@ def assert_survey_memo_matches_box(ring, lat):
                                    match="differs from the radical"):
                     semiprime_radical(eta)
         mu._memo = memo
+
+        # positions: each surveyed ideal knows its place, and order
+        # questions by position agree with the pointwise comparison, also
+        # for ideals the constructor built before the survey existed
+        built = {e.ivalues: e for e in etas}
+        for k, eta in enumerate(survey.ideals):
+            assert eta._pos == k and survey.ideals[eta._pos] is eta
+            assert built[eta.ivalues]._pos is None
+        for b in survey.ideals:
+            expected = [LSubset.contains(a, b) for a in survey.ideals]
+            assert [a.contains(b) for a in survey.ideals] == expected, b
+            b_built = built[b.ivalues]
+            assert [a.contains(b_built) for a in survey.ideals] == expected
+        meet = lat._meet
+        for a, b in itertools.combinations_with_replacement(survey.ideals, 2):
+            ab = survey.ideals[survey.index[tuple(
+                meet[x][y] for x, y in zip(a.ivalues, b.ivalues))]]
+            # the second read, in the other order, comes from the memo
+            assert intersect_many([a, b]) is ab is intersect_many([b, a])
+            assert mu._memo[("meet", a._pos, b._pos)] is ab
+
+        # the table-row kernels against their per-call forms
+        for eta in survey.ideals:
+            assert _is_prime(eta) == oracle_is_prime(eta), eta
+            assert _is_semiprime(eta) == oracle_is_semiprime(eta), eta
+            assert primary_by_inequalities(eta) == \
+                oracle_primary_by_inequalities(eta), eta
+            assert _radical(eta).ivalues == oracle_radical(eta), eta
 
         for k, eta in enumerate(survey.ideals):
             def drop(t):
