@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 
 from .errors import CapExceeded, ConsistencyError
 from .lattice import LatticeError, make_lattice
@@ -183,14 +184,34 @@ def cmd_verify(args) -> int:
         gate=not args.no_hypothesis_gate,
     )
     try:
-        result = verify_mod.run_suite(params, ids=ids)
+        result = (_run_to_report(params, ids, args.report) if args.report
+                  else verify_mod.run_suite(params, ids=ids))
     except ValueError as e:
         raise _UsageError(str(e)) from e
     sys.stdout.write(verify_mod.render_text(result))
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.writelines(verify_mod.render_json(result))
     return result.verdict[0]
+
+
+def _run_to_report(params, ids, path):
+    """run_suite with its JSON report streamed to a temporary file in the
+    directory of path, renamed onto path when the run returns. On an
+    exception or an interrupt the temporary file is removed, and a report
+    already at path is left as it was."""
+    fd, tmp = tempfile.mkstemp(prefix=".lrings-report-", suffix=".tmp",
+                               dir=os.path.dirname(path) or ".")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            report = verify_mod.JsonReport(fh.write, params)
+            result = verify_mod.run_suite(params, ids, report.record)
+            report.close(result)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # as open() would have made it
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return result
 
 
 # ---------------------------------------------------------------------------

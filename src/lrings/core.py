@@ -30,8 +30,9 @@ A surveyed ideal's position in its survey (`LIdeal._pos`, set only by
 `radical.ideal_survey`, with `mu._survey.ideals[eta._pos] is eta`) is its
 handle for order questions: whether one surveyed ideal contains another
 is a bit of the second one's row of the ideals above it, one int bitmask
-per ideal in the memo, and the meet of two surveyed ideals is kept there
-by their positions. Every other operand is compared pointwise.
+per ideal in the memo, and the sum and the meet of two surveyed ideals
+are kept there in rows, one per ideal, by their positions. Every other
+operand is compared pointwise.
 
 All values are immutable; every operation is pure.
 """
@@ -452,12 +453,15 @@ def subring_memo(mu: LSubset, key, compute, *args):
     so it is raised again on every request. Most keys hold values: the
     predicates' verdicts ("is_prime"/"is_semiprime"/"is_primary", v), the
     prime, semiprime and pointwise radical ("prime"/"semiprime"/"rad", v),
-    the level and strong cuts ("cuts", v), sums ("sum", v, w),
-    decompositions ("dec", v), and the ideals `LIdeal._of` validated before
-    the survey was built ("ideal", v). Others hold survey positions: the
-    bitmask of the ideals above ideal k ("above", k) and the meet of ideals
-    k < l ("meet", k, l); and, once per subring, the position pairs of
-    semiprime ideals whose meet is not semiprime ("T2.12 pairs",)."""
+    the level and strong cuts ("cuts", v), sums of ideals outside the
+    survey ("sum", v, w), decompositions ("dec", v), and the ideals
+    `LIdeal._of` validated before the survey was built ("ideal", v). Others
+    are keyed by survey position: the bitmask of the ideals above ideal k
+    ("above", k); one row per ideal k of its sums ("sum", k) and meets
+    ("meet", k) with the ideals l >= k, each a dict from l to the ideal;
+    and, once per subring, the position pairs of semiprime ideals whose
+    meet is not semiprime ("T2.12 pairs",). A row is filled entry by entry,
+    and an entry is never a failure."""
     memo = mu._memo
     if memo is None:
         memo = mu._memo = {}
@@ -466,6 +470,21 @@ def subring_memo(mu: LSubset, key, compute, *args):
     except KeyError:
         pass
     out = memo[key] = compute(*args)
+    return out
+
+
+def _row_memo(mu: LSubset, kind: str, k: int, l: int, compute, *args):
+    """compute(*args) for the surveyed ideals at positions k and l of mu,
+    kept in mu's memo in the row (kind, min(k, l)), a dict, under
+    max(k, l); an error is never kept."""
+    if k > l:
+        k, l = l, k
+    row = subring_memo(mu, (kind, k), dict)
+    try:
+        return row[l]
+    except KeyError:
+        pass
+    out = row[l] = compute(*args)
     return out
 
 
@@ -507,18 +526,32 @@ def sum_ideals(a: LIdeal, b: LIdeal) -> LIdeal:
     On distributive lattices the convolution is always an ideal again. On
     non-distributive lattices it can fail to be one (joins of incomparable
     values can break the level structure); that raises a ValidationError
-    naming the situation."""
+    naming the situation.
+
+    The sum of two ideals listed by one built survey is kept in the
+    subring memo in the row ("sum", k) of the smaller position k, under
+    the other position; sums commute. The inputs are checked only when a
+    sum is computed, and a failure is never kept. Any other sum is kept
+    under ("sum", v, w), the operands' values in order."""
+    k, l = getattr(a, "_pos", None), getattr(b, "_pos", None)
+    if k is not None and l is not None and a.parent is b.parent:
+        return _row_memo(a.parent, "sum", k, l, _sum_ideals, a, b)
+    _require_summable(a, b)  # before the lookup, which keys values only
+    return subring_memo(a.parent, ("sum", a.ivalues, b.ivalues),
+                        _sum_ideals, a, b)
+
+
+def _require_summable(a: LIdeal, b: LIdeal) -> None:
     _require_one_parent((a, b))
     zero = a.ring.zero_i
     if a.ivalues[zero] != b.ivalues[zero]:
         raise ValidationError(
             f"values at zero differ ({a.zero_value()} vs {b.zero_value()}); "
             "the sum is only an ideal when they agree")
-    return subring_memo(a.parent, ("sum", a.ivalues, b.ivalues),
-                        _sum_ideals, a, b)
 
 
 def _sum_ideals(a: LIdeal, b: LIdeal) -> LIdeal:
+    _require_summable(a, b)
     raw = sum_subsets(a, b)
     try:
         out = LIdeal._of(a.parent, raw.ivalues)
@@ -549,13 +582,12 @@ def intersect_many(fs: Sequence[LIdeal]) -> LIdeal:
     as an ideal of the first one's parent; a meet of ideals is always an
     ideal, so one that fails to validate raises ConsistencyError. The meet
     of two ideals listed by one built survey is kept in the subring memo
-    under ("meet", k, l), their positions k <= l."""
+    in the row ("meet", k) of the smaller position k, under the other."""
     if len(fs) == 2:
         a, b = fs
         k, l = getattr(a, "_pos", None), getattr(b, "_pos", None)
         if k is not None and l is not None and a.parent is b.parent:
-            key = ("meet", k, l) if k <= l else ("meet", l, k)
-            return subring_memo(a.parent, key, _intersect, fs)
+            return _row_memo(a.parent, "meet", k, l, _intersect, fs)
     return _intersect(fs)
 
 

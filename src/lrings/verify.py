@@ -7,9 +7,14 @@ that gives a reason skips the check; an error raised in a gate fails it,
 as one raised in the checker does. An exploratory mode can disable gating.
 
 Instance generation is exhaustive by default (every ideal of every chosen
-subring over the chosen carriers) and reproducibly sampled otherwise.
-Reports carry one record per (theorem, instance) and are byte-stable for
-fixed parameters and seed.
+subring over the chosen carriers) and reproducibly sampled otherwise. It
+builds each subring's ideal survey and keeps, per subring, the survey's
+ideals, their labels and their zero values; an instance is made from
+those when its theorem reaches it, so no list of all pairs is ever held.
+The suite is one pass: each record is counted in its theorem's report and
+handed to the report writer as it is made, and none is kept. Reports
+carry one record per (theorem, instance) and are byte-stable for fixed
+parameters and seed.
 
 The candidate cap is spent only by instance generation (listing the
 L-subrings and building their ideal surveys) and by T1.7's inequality
@@ -21,8 +26,11 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import CapExceeded, ConsistencyError
 from .lattice import make_lattice
@@ -46,8 +54,7 @@ class SkipCheck(Exception):
     a hypothesis that only the computation itself can detect."""
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     label: str
     mu: LSubring
     ideals: tuple[LIdeal, ...]
@@ -74,8 +81,7 @@ class SuiteParams:
                 "crisp_cap": DECOMPOSITION_IDEAL_CAP, "gate": self.gate}
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     theorem: str
     instance: str
     status: str          # PASS | FAIL | SKIP
@@ -102,7 +108,6 @@ class TheoremReport:
 class SuiteResult:
     params: SuiteParams
     reports: list
-    records: list
 
     @property
     def ok(self) -> bool:
@@ -119,7 +124,7 @@ class SuiteResult:
         if capped:
             return 2, (f"computation unavailable ({capped} checks skipped "
                        "for a cap)")
-        if not self.records:
+        if not any(rep.checked for rep in self.reports):
             return 2, "computation unavailable (no checks ran)"
         return 0, "all checks passed"
 
@@ -151,40 +156,106 @@ def _enumerate_mus(ring, lat, params: SuiteParams) -> list[LSubring]:
                                           params.cap)]
 
 
+class _Block(NamedTuple):
+    """One L-subring of the run: its survey's ideals in order, their
+    labels and zero values, and its single instances, one per ideal."""
+    label: str
+    mu: LSubring
+    ideals: tuple[LIdeal, ...]
+    labels: list[str]
+    zeros: list[int]             # each ideal's value index at zero
+    singles: list[Instance]
+
+    def pairs(self):
+        """The pair instances, made one at a time: i <= j in survey order,
+        with equal zero values."""
+        _, mu, ideals, labels, zeros, singles = self
+        for i, z in enumerate(zeros):
+            head, a = singles[i].label + "+", ideals[i]
+            for j in range(i, len(zeros)):
+                if zeros[j] == z:
+                    yield Instance(head + labels[j], mu, (a, ideals[j]))
+
+    def count_pairs(self) -> int:
+        return sum(n * (n + 1) // 2 for n in Counter(self.zeros).values())
+
+
+class InstancePool:
+    """The instances of one shape over every L-subring of the run, walked
+    block by block; `make(block)` gives a block's instances in order, and
+    `counts` their number per block. When sampled, `chosen` holds the kept
+    positions in the whole pool, sorted."""
+
+    def __init__(self, blocks, make, counts, chosen=None):
+        self._blocks = blocks
+        self._make = make
+        self._counts = counts
+        self._chosen = chosen
+
+    def __len__(self) -> int:
+        return sum(self._counts) if self._chosen is None else len(self._chosen)
+
+    def __iter__(self):
+        make, chosen = self._make, self._chosen
+        if chosen is None:
+            for block in self._blocks:
+                yield from make(block)
+            return
+        want = iter(chosen)
+        k = next(want, None)
+        start = 0
+        for block, n in zip(self._blocks, self._counts):
+            if k is None:
+                return
+            if k < start + n:   # else no kept instance is in this block
+                for pos, inst in enumerate(make(block), start):
+                    if pos == k:
+                        yield inst
+                        k = next(want, None)
+                        if k is None or k >= start + n:
+                            break
+            start += n
+
+    def subrings(self) -> list[Instance]:
+        """One whole-subring instance per L-subring with a kept instance."""
+        out = []
+        for inst in self:
+            if not out or out[-1].mu is not inst.mu:
+                out.append(Instance(inst.label.rsplit("/", 1)[0], inst.mu, ()))
+        return out
+
+
 def generate_instances(params: SuiteParams):
-    """Returns (singles, pairs). Singles cover every ideal of every chosen
-    subring; pairs combine ideals of one subring with equal zero values
-    (unordered, with repetition). Sampling keeps a reproducible subset."""
-    singles, pairs = [], []
+    """Returns (singles, pairs), two InstancePools. Singles cover every
+    ideal of every chosen subring; pairs combine ideals of one subring with
+    equal zero values (unordered, with repetition). Each subring's survey
+    and single instances are built here; a pair is made only when its
+    pool is walked. Sampling keeps a reproducible subset of each pool."""
+    blocks = []
     for rname in params.rings:
         ring = make_ring(rname)
         for lname in params.lattices:
             lat = make_lattice(lname)
             base = f"{ring.name}/{lat.name or 'lattice'}"
             for mu in _enumerate_mus(ring, lat, params):
-                survey = ideal_survey(mu, cap=params.cap)
                 mlab = f"{base}/{_mu_label(mu)}"
-                ideals = survey.ideals
+                ideals = ideal_survey(mu, cap=params.cap).ideals
                 labels = [_eta_label(eta) for eta in ideals]
-                for eta, elab in zip(ideals, labels):
-                    singles.append(Instance(f"{mlab}/{elab}", mu, (eta,)))
-                zeros = [eta.ivalues[ring.zero_i] for eta in ideals]
-                for i in range(len(ideals)):
-                    for j in range(i, len(ideals)):
-                        if zeros[i] != zeros[j]:
-                            continue
-                        pairs.append(Instance(
-                            f"{mlab}/{labels[i]}+{labels[j]}",
-                            mu, (ideals[i], ideals[j])))
-    if params.sample is not None:
-        rng = random.Random(params.seed)
-        if len(singles) > params.sample:
-            singles = [singles[i] for i in
-                       sorted(rng.sample(range(len(singles)), params.sample))]
-        if len(pairs) > params.sample:
-            pairs = [pairs[i] for i in
-                     sorted(rng.sample(range(len(pairs)), params.sample))]
-    return singles, pairs
+                blocks.append(_Block(
+                    mlab, mu, ideals, labels,
+                    [eta.ivalues[ring.zero_i] for eta in ideals],
+                    [Instance(f"{mlab}/{elab}", mu, (eta,))
+                     for eta, elab in zip(ideals, labels)]))
+    pools = [(attrgetter("singles"), [len(b.singles) for b in blocks]),
+             (_Block.pairs, [b.count_pairs() for b in blocks])]
+    rng = random.Random(params.seed)
+    out = []
+    for make, counts in pools:   # singles draw first, as they always have
+        total, chosen = sum(counts), None
+        if params.sample is not None and total > params.sample:
+            chosen = sorted(rng.sample(range(total), params.sample))
+        out.append(InstancePool(blocks, make, counts, chosen))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -714,8 +785,10 @@ def _run_check(spec: TheoremSpec, inst: Instance,
     return CheckRecord(spec.ident, inst.label, "FAIL", detail)
 
 
-def run_suite(params: SuiteParams, ids=None) -> SuiteResult:
-    """Check every requested theorem over every generated instance."""
+def run_suite(params: SuiteParams, ids=None, on_record=None) -> SuiteResult:
+    """Check every requested theorem over every generated instance. Each
+    record is counted in its theorem's report and handed to `on_record`
+    as soon as it is made; none is kept."""
     if ids is None:
         specs = THEOREMS
     else:
@@ -727,21 +800,14 @@ def run_suite(params: SuiteParams, ids=None) -> SuiteResult:
         specs = [t for t in THEOREMS if t.ident in wanted]
     singles, pairs = generate_instances(params)
     # one representative per distinct subring for whole-subring checks
-    seen = set()
-    mu_insts = []
-    for inst in singles:
-        key = (id(inst.mu),)
-        if key not in seen:
-            seen.add(key)
-            mu_insts.append(Instance(inst.label.rsplit("/", 1)[0],
-                                     inst.mu, ()))
-    reports, records = [], []
+    pools = {"one": singles, "pair": pairs, "mu": singles.subrings()}
+    reports = []
     for spec in specs:
-        pool = {"one": singles, "pair": pairs, "mu": mu_insts}[spec.scope]
         rep = TheoremReport(spec.ident, spec.clause)
-        for inst in pool:
+        for inst in pools[spec.scope]:
             rec = _run_check(spec, inst, params)
-            records.append(rec)
+            if on_record is not None:
+                on_record(rec)
             rep.checked += 1
             if rec.status == "PASS":
                 rep.passed += 1
@@ -753,7 +819,7 @@ def run_suite(params: SuiteParams, ids=None) -> SuiteResult:
                 rep.failed += 1
                 rep.failures.append((inst.label, rec.detail))
         reports.append(rep)
-    return SuiteResult(params, reports, records)
+    return SuiteResult(params, reports)
 
 
 # ---------------------------------------------------------------------------
@@ -774,38 +840,46 @@ def render_text(result: SuiteResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(result: SuiteResult):
-    """The JSON report, yielded in pieces to be written in order. Together
-    they are exactly json.dumps(doc, indent=1, sort_keys=True) + "\n" for
-    the document whose keys "params", "records" and "summary" hold the
-    parameters, one object per record and one per theorem. The params and
-    the summary are small and go through json.dumps; each record is
-    formatted here with the string escaper json.dumps itself uses, so
-    neither the document nor its text is ever built whole."""
-    def member(key, value):
-        # one key of the document, at indent 1; json.dumps escapes every
-        # newline inside a string, so each "\n" left is a line break
-        text = json.dumps(value, indent=1, sort_keys=True)
-        return f' "{key}": ' + text.replace("\n", "\n ")
+def _member(key, value) -> str:
+    """One key of the report, at indent 1; json.dumps escapes every
+    newline inside a string, so each "\\n" left is a line break."""
+    text = json.dumps(value, indent=1, sort_keys=True)
+    return f' "{key}": ' + text.replace("\n", "\n ")
 
-    esc = encode_basestring_ascii
-    yield "{\n" + member("params", result.params.as_dict()) + ",\n"
-    if result.records:
-        sep = ' "records": [\n'
-        for r in result.records:
-            yield (f'{sep}  {{\n   "detail": {esc(r.detail)},\n'
-                   f'   "instance": {esc(r.instance)},\n'
-                   f'   "status": {esc(r.status)},\n'
-                   f'   "theorem": {esc(r.theorem)}\n  }}')
-            sep = ",\n"
-        yield "\n ],\n"
-    else:
-        yield ' "records": [],\n'
-    summary = [{"theorem": r.theorem, "clause": r.clause,
-                "checked": r.checked, "passed": r.passed,
-                "skipped": r.skipped, "failed": r.failed,
-                "skip_reasons": dict(sorted(r.skip_reasons.items())),
-                "failures": [{"instance": l, "detail": d}
-                             for l, d in r.failures]}
-               for r in result.reports]
-    yield member("summary", summary) + "\n}\n"
+
+class JsonReport:
+    """The JSON report, written in order through `write`: the params when
+    the report is made, each record as it is made (`record`, which can be
+    run_suite's `on_record`) and the summary at `close`. Together the
+    pieces are exactly json.dumps(doc, indent=1, sort_keys=True) + "\n" for
+    the document whose keys "params", "records" and "summary" hold the
+    parameters, one object per record and one per theorem; `sort_keys`
+    puts the records before the summary. The params and the summary are
+    small and go through json.dumps; each record is formatted here with
+    the string escaper json.dumps itself uses, so neither the document nor
+    its text is ever built whole."""
+
+    def __init__(self, write, params: SuiteParams):
+        self._write = write
+        self._records = 0
+        write("{\n" + _member("params", params.as_dict()) + ",\n")
+
+    def record(self, r: CheckRecord) -> None:
+        esc = encode_basestring_ascii
+        sep = ",\n" if self._records else ' "records": [\n'
+        self._records += 1
+        self._write(f'{sep}  {{\n   "detail": {esc(r.detail)},\n'
+                    f'   "instance": {esc(r.instance)},\n'
+                    f'   "status": {esc(r.status)},\n'
+                    f'   "theorem": {esc(r.theorem)}\n  }}')
+
+    def close(self, result: SuiteResult) -> None:
+        summary = [{"theorem": r.theorem, "clause": r.clause,
+                    "checked": r.checked, "passed": r.passed,
+                    "skipped": r.skipped, "failed": r.failed,
+                    "skip_reasons": dict(sorted(r.skip_reasons.items())),
+                    "failures": [{"instance": l, "detail": d}
+                                 for l, d in r.failures]}
+                   for r in result.reports]
+        self._write(("\n ],\n" if self._records else ' "records": [],\n')
+                    + _member("summary", summary) + "\n}\n")

@@ -17,8 +17,10 @@ from lrings import (LSubring, NoCrispDecomposition, Subring,
 from lrings.core import level_cuts_all_ideals, satisfies_ideal_inequalities
 from lrings.core import LSubset
 from lrings.radical import primary_by_inequalities, primary_by_level_cuts
-from lrings.verify import SuiteParams, render_json, run_suite
+from lrings.verify import SuiteParams, run_suite
 from lrings.cli import main as cli_main
+
+from test_golden import run_with_report
 
 CRITERION1_IDS = ["T2.4", "T2.6", "T2.9", "T2.10", "T2.11", "T2.12", "T2.13",
                   "T2.14", "T2.15", "T2.16", "T2.17", "T2.19", "T2.20",
@@ -37,9 +39,16 @@ def crit1_result():
 
 
 @pytest.fixture(scope="module")
-def crit2_result():
+def crit2_run():
+    """The criterion-2 result and the records of its report stream."""
     params = SuiteParams(rings=("Z4",), lattices=("chain3",), mu_mode="all")
-    return run_suite(params, ids=CRITERION1_IDS)
+    result, _, records = run_with_report(params, ids=CRITERION1_IDS)
+    return result, records
+
+
+@pytest.fixture(scope="module")
+def crit2_result(crit2_run):
+    return crit2_run[0]
 
 
 def _criterion12_subrings():
@@ -73,12 +82,13 @@ def test_criterion_1_exhaustive_theorem_suite(crit1_result):
           f"({crit1_result.elapsed:.1f}s)")
 
 
-def test_criterion_2_nonconstant_mu_sweep(crit2_result):
+def test_criterion_2_nonconstant_mu_sweep(crit2_run):
+    crit2_result, records = crit2_run
     failures = [(r.theorem, r.failures) for r in crit2_result.reports
                 if r.failed]
     assert failures == [], failures
     # the sweep must actually include non-constant subrings
-    non_constant = [rec for rec in crit2_result.records
+    non_constant = [rec for rec in records
                     if "mu[" in rec.instance]
     assert non_constant, "expected non-constant subrings in the sweep"
     print(f"\n[criterion 2] PASS: {sum(r.checked for r in crit2_result.reports)}"
@@ -221,8 +231,8 @@ def test_criterion_7_reducedness_lifting():
 def test_criterion_8_determinism(tmp_path, capsys):
     params = SuiteParams(rings=("Z4", "Z6"), lattices=("chain3",),
                          sample=10, seed=7)
-    one = "".join(render_json(run_suite(params, ids=["T2.13", "T2.25"])))
-    two = "".join(render_json(run_suite(params, ids=["T2.13", "T2.25"])))
+    _, one, _ = run_with_report(params, ids=["T2.13", "T2.25"])
+    _, two, _ = run_with_report(params, ids=["T2.13", "T2.25"])
     assert one.encode() == two.encode()
 
     argv = ["verify", "--rings", "Z4,Z6", "--lattices", "chain2,chain3",

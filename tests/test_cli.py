@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 from pathlib import Path
@@ -377,6 +378,40 @@ def test_verify_report_is_json(tmp_path, capsys):
     doc = json.loads(report.read_text())
     assert doc["summary"][0]["theorem"] == "T2.4"
     assert all(rec["status"] == "PASS" for rec in doc["records"])
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+@pytest.mark.parametrize("earlier", [None, "an earlier report\n"],
+                         ids=["no-report", "old-report"])
+def test_verify_interrupted_run_leaves_no_partial_report(
+        error, earlier, monkeypatch, tmp_path, capsys):
+    # the third T2.4 check raises; two records are already streamed, but
+    # the report appears only when the run returns
+    verify = importlib.import_module("lrings.verify")
+    spec = next(t for t in verify.THEOREMS if t.ident == "T2.4")
+    calls = []
+
+    def check(inst, params):
+        calls.append(inst.label)
+        if len(calls) == 3:
+            raise error("stop")
+        return spec.check(inst, params)
+    monkeypatch.setattr(verify, "THEOREMS",
+                        [dataclasses.replace(spec, check=check)])
+    report = tmp_path / "report.json"
+    if earlier is not None:
+        report.write_text(earlier)
+    with pytest.raises(error):
+        main(["verify", "--rings", "Z4", "--lattices", "chain2",
+              "--theorems", "T2.4", "--report", str(report)])
+    assert len(calls) == 3
+    assert capsys.readouterr().out == ""
+    if earlier is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == [report]
+        assert report.read_text() == earlier
 
 
 # -- inconsistency -------------------------------------------------------------

@@ -272,6 +272,15 @@ def test_sum_requires_matching_zero_values(z4_setup):
     low = LIdeal(z4_setup.mu, ["m", "m", "m", "m"])
     with pytest.raises(ValidationError, match="zero"):
         sum_ideals(eta, low)
+    # surveyed ideals are refused too, in either order and on every
+    # request: a refusal is never kept in the sum rows
+    mu = LSubring(eta.ring, eta.lattice, z4_setup.mu.values)
+    survey = ideal_survey(mu)
+    a, b = (survey.ideals[survey.index[f.ivalues]] for f in (eta, low))
+    for x, y in ((a, b), (b, a), (a, b)):
+        with pytest.raises(ValidationError, match="values at zero differ"):
+            sum_ideals(x, y)
+    assert not mu._memo.get(("sum", min(a._pos, b._pos)))
 
 
 def test_sum_commutative_associative(z6_setup):

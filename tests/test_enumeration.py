@@ -550,10 +550,12 @@ def assert_survey_memo_matches_box(ring, lat):
             memo, mu._memo = mu._memo, None
             assert [f(eta) for f in PREDICATES] == flags, (mu, eta)
             mu._memo = memo
+        sums = {}  # by the operands' values, in either order
         for a, b in itertools.combinations_with_replacement(etas, 2):
             if a.zero_value() != b.zero_value():
                 continue
             expected = pointwise_sum(a, b)
+            sums[a.ivalues, b.ivalues] = sums[b.ivalues, a.ivalues] = expected
             assert sum_subsets(a, b).ivalues == oracle_sum_subsets(a, b) == \
                 expected
             if expected in ideals:
@@ -598,7 +600,18 @@ def assert_survey_memo_matches_box(ring, lat):
                 meet[x][y] for x, y in zip(a.ivalues, b.ivalues))]]
             # the second read, in the other order, comes from the memo
             assert intersect_many([a, b]) is ab is intersect_many([b, a])
-            assert mu._memo[("meet", a._pos, b._pos)] is ab
+            assert mu._memo[("meet", a._pos)][b._pos] is ab
+            # sums are kept in rows too, and a failure is never kept
+            total = sums.get((a.ivalues, b.ivalues))  # None: zeros differ
+            if total in ideals:
+                ab = survey.ideals[survey.index[total]]
+                assert sum_ideals(b, a) is ab is sum_ideals(a, b)
+                assert mu._memo[("sum", a._pos)][b._pos] is ab
+            elif total is not None:
+                for x, y in ((a, b), (b, a)):
+                    with pytest.raises(ValidationError, match="not an ideal"):
+                        sum_ideals(x, y)
+                assert b._pos not in mu._memo[("sum", a._pos)]
 
         # the table-row kernels against their per-call forms
         for eta in survey.ideals:

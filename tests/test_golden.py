@@ -3,9 +3,9 @@
 A change to how ideals or L-subrings are enumerated must not move any
 report: the same instances, in the same order, with the same verdicts.
 These digests pin the JSON and text renderings of seven small exhaustive
-runs that between them cover a chain, a non-distributive lattice, a
-distributive non-chain lattice, a non-constant subring sweep and a ring
-that is not cyclic. The fourth runs the strong-cut lemmas ungated over
+runs and one sampled run that between them cover a chain, a
+non-distributive lattice, a distributive non-chain lattice, a
+non-constant subring sweep and a ring that is not cyclic. The fourth runs the strong-cut lemmas ungated over
 every L-subring of Z6 on m3, where many strong cuts are not subrings: it
 pins that every request for such a cut fails with the same message. The
 fifth runs the sum, radical and predicate theorems ungated over every
@@ -15,19 +15,36 @@ The sixth is the benchmark's `mu-all` workload: every theorem but T1.7
 over every L-subring of Z6 on chain4. The seventh runs L3.8, L3.11, L3.15
 and T2.12 ungated over every L-subring of Z6 on m3; its 216 L3.8 failures
 name the level whose strong cuts do not commute with a meet, so it pins
-the text of a failure read from a cut table.
+the text of a failure read from a cut table. The eighth samples 50 of the
+330 ideals and 50 of the 1,130 pairs of every L-subring of Z6 on chain4,
+with seed 7: it pins which instances `--sample` draws from each pool, and
+that the whole-subring checks run on the subrings of the sampled ideals.
 """
 
 import hashlib
 
 import pytest
 
-from lrings.verify import (THEOREM_IDS, SuiteParams, render_json,
-                           render_text, run_suite)
+from lrings.verify import (THEOREM_IDS, JsonReport, SuiteParams, render_text,
+                           run_suite)
 
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def run_with_report(params, ids=None):
+    """run_suite with its JSON report streamed into a string; returns the
+    result, the report and the records collected from the stream."""
+    pieces, records = [], []
+    report = JsonReport(pieces.append, params)
+
+    def take(rec):
+        records.append(rec)
+        report.record(rec)
+    result = run_suite(params, ids, take)
+    report.close(result)
+    return result, "".join(pieces), records
 
 
 GOLDEN = [
@@ -57,6 +74,10 @@ GOLDEN = [
      ("L3.8", "L3.11", "L3.15", "T2.12"),
      "7a958f6a6d1a3c5c1816c1542f1d80f3741c0328656a459b2c4235fbb155d5d6",
      "5c23ee6c47870052e94cb7527b362a62e0cf1a16eb09ccef8da456fecbaf02fb"),
+    (dict(rings=("Z6",), lattices=("chain4",), mu_mode="all", sample=50,
+          seed=7), None,
+     "c43610ba644a1344eb2cea7270b691b05b3e5cee3bfdc587c1eff5014f60c9ad",
+     "d291ccb6c67fcded1f02c7dd20f1096cdc802a4e53e8f9ea3c4526d926b774a2"),
 ]
 
 
@@ -64,8 +85,9 @@ GOLDEN = [
                          ids=["Z4-chain3-m3", "Z2xZ2-square", "Z4-chain3-all",
                               "Z6-m3-all-ungated-strong-cuts",
                               "Z6-m3-all-ungated-sums", "Z6-chain4-all",
-                              "Z6-m3-all-ungated-cuts-meets"])
+                              "Z6-m3-all-ungated-cuts-meets",
+                              "Z6-chain4-all-sample50-seed7"])
 def test_report_digests_unchanged(kw, theorems, json_digest, text_digest):
-    result = run_suite(SuiteParams(**kw), ids=theorems)
-    assert sha256("".join(render_json(result))) == json_digest
+    result, report, _ = run_with_report(SuiteParams(**kw), ids=theorems)
+    assert sha256(report) == json_digest
     assert sha256(render_text(result)) == text_digest

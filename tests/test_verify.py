@@ -7,12 +7,12 @@ import pytest
 from lrings import LIdeal, intersect_many, semiprime_radical
 from lrings.decomp import decompose, lift_reducedness, project_level
 from lrings.radical import enumerate_family, is_semiprime
-from lrings.verify import (CheckRecord, Instance, SuiteParams, SuiteResult,
-                           THEOREM_IDS, TheoremReport, check_theorem,
-                           generate_instances, render_json, render_text,
+from lrings.verify import (CheckRecord, Instance, JsonReport, SuiteParams,
+                           SuiteResult, THEOREM_IDS, TheoremReport,
+                           check_theorem, generate_instances, render_text,
                            run_suite)
 
-from test_golden import GOLDEN
+from test_golden import GOLDEN, run_with_report
 
 
 def params(**kw):
@@ -249,8 +249,8 @@ def test_gated_mode_all_mu_is_green():
 
 # -- reports ---------------------------------------------------------------------------
 
-def report_document(result):
-    """The JSON report as one document: the oracle for render_json, whose
+def report_document(result, records):
+    """The JSON report as one document: the oracle for JsonReport, whose
     pieces must join to json.dumps(document, indent=1, sort_keys=True)
     plus a newline."""
     return {
@@ -264,13 +264,24 @@ def report_document(result):
                     for r in result.reports],
         "records": [{"theorem": r.theorem, "instance": r.instance,
                      "status": r.status, "detail": r.detail}
-                    for r in result.records],
+                    for r in records],
     }
 
 
-def assert_json_matches_the_document(result):
-    assert "".join(render_json(result)) == json.dumps(
-        report_document(result), indent=1, sort_keys=True) + "\n"
+def streamed(result, records):
+    pieces = []
+    report = JsonReport(pieces.append, result.params)
+    for rec in records:
+        report.record(rec)
+    report.close(result)
+    return "".join(pieces)
+
+
+def assert_json_matches_the_document(result, report, records):
+    # the streamed report is read back, and its re-dump is itself
+    doc = json.loads(report)
+    assert report == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    assert doc == report_document(result, records)
 
 
 def test_render_json_escapes_as_json_dumps_does():
@@ -291,30 +302,32 @@ def test_render_json_escapes_as_json_dumps_does():
             (params(), [full, empty], [fail, cap, passed]),
             (params(sample=0), [empty], []),      # --sample 0
             (params(), [], [])):                  # run_suite(ids=[])
-        assert_json_matches_the_document(SuiteResult(p, reports, records))
-    assert_json_matches_the_document(run_suite(params(sample=0)))
+        result = SuiteResult(p, reports)
+        assert_json_matches_the_document(result, streamed(result, records),
+                                         records)
+    assert_json_matches_the_document(*run_with_report(params(sample=0)))
 
 
 @pytest.mark.parametrize("kw,theorems", [g[:2] for g in GOLDEN],
                          ids=[f"golden{k}" for k in range(len(GOLDEN))])
 def test_render_json_matches_the_document_on_golden_runs(kw, theorems):
-    assert_json_matches_the_document(run_suite(SuiteParams(**kw),
-                                               ids=theorems))
+    assert_json_matches_the_document(*run_with_report(SuiteParams(**kw),
+                                                      ids=theorems))
 
 
 def test_reports_are_deterministic():
     p = params(lattices=("chain3",), sample=6, seed=7)
-    r1 = run_suite(p, ids=["T2.13", "T2.4"])
-    r2 = run_suite(p, ids=["T2.13", "T2.4"])
-    assert "".join(render_json(r1)) == "".join(render_json(r2))
+    r1, json1, _ = run_with_report(p, ids=["T2.13", "T2.4"])
+    r2, json2, _ = run_with_report(p, ids=["T2.13", "T2.4"])
+    assert json1 == json2
     assert render_text(r1) == render_text(r2)
 
 
 def test_report_has_one_record_per_check():
-    result = run_suite(params(), ids=["T2.4"])
+    _, _, records = run_with_report(params(), ids=["T2.4"])
     singles, _ = generate_instances(params())
-    assert len(result.records) == len(singles)
-    assert {r.status for r in result.records} <= {"PASS", "FAIL", "SKIP"}
+    assert len(records) == len(singles)
+    assert {r.status for r in records} <= {"PASS", "FAIL", "SKIP"}
 
 
 def test_render_text_shape():
@@ -336,7 +349,7 @@ def test_render_text_verdict_reads_the_skip_kinds():
                             skipped=len(skips),
                             failed=sum(r.status == "FAIL" for r in records),
                             skip_reasons=dict(Counter(skips)))
-        text = render_text(SuiteResult(params(), [rep], list(records)))
+        text = render_text(SuiteResult(params(), [rep]))
         return text.splitlines()[-1]
 
     # a hypothesis skip, even with no PASS at all, is not an unavailable run
