@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping, Sequence
+from operator import getitem
 
 from .errors import CapExceeded, ConsistencyError
 from .lattice import FiniteLattice
@@ -129,12 +130,16 @@ def satisfies_subring_inequalities(f: LSubset) -> tuple[bool, tuple | None]:
     """Closure under subtraction and multiplication, value-wise:
     f(x-y) and f(xy) both dominate f(x) ^ f(y). Returns (ok, witness)."""
     r, lat, v = f.ring, f.lattice, f.ivalues
-    leq, meet = lat.leq_i, lat.meet_i
-    n = len(r)
-    for i in range(n):
-        for j in range(n):
-            need = meet(v[i], v[j])
-            if not leq(need, v[r._sub_i(i, j)]) or not leq(need, v[r.mul_i(i, j)]):
+    leq, meet = lat._leq, lat._meet
+    for i, (vi, sub_i, mul_i) in enumerate(zip(v, r._sub, r._mul)):
+        # the leq row of each need f(x_i) ^ f(x_j), read at f(x_i - x_j)
+        # and at f(x_i x_j)
+        rows = list(map(leq.__getitem__, map(meet[vi].__getitem__, v)))
+        if (all(map(getitem, rows, map(v.__getitem__, sub_i)))
+                and all(map(getitem, rows, map(v.__getitem__, mul_i)))):
+            continue
+        for j, row in enumerate(rows):  # the first failing pair in row i
+            if not row[v[sub_i[j]]] or not row[v[mul_i[j]]]:
                 return False, (r.elements[i], r.elements[j])
     return True, None
 

@@ -1,14 +1,24 @@
 """Finite commutative rings and their crisp ideal theory.
 
 Rings are given by full addition/multiplication tables over string labels
-and need not have a unity. Everything is validated exhaustively at
-construction. The Subring class carries the crisp oracle layer: ideal and
-subring enumeration, prime/primary tests, radicals, and minimal primary
-decompositions, all decided exactly (power searches stop when the power
-sequence cycles, which it must in a finite ring). Ideals and subrings are
-generated as closures of generators, so their cost grows with the number
-found rather than with the 2^n subsets of the carrier. Each closure is
-checked against the definition once, when the table is built; after that,
+and need not have a unity. Every ring law is validated exhaustively at
+construction, a whole table row per step: for each pair (i, j) the three
+laws over every k are three tuple comparisons, and a row that fails is
+scanned again entry by entry, so the first law to fail in (i, j, k) order
+is the one named. The Subring class carries the crisp oracle layer: ideal
+and subring enumeration, prime/primary tests, radicals, and minimal
+primary decompositions, all decided exactly (power searches stop when the
+power sequence cycles, which it must in a finite ring). Ideals and
+subrings are generated as closures of generators, so their cost grows
+with the number found rather than with the 2^n subsets of the carrier.
+The ideal of a subring S generated by an ideal B and x is
+B + span({x} u S.x), the additive span: s(b + sum k_i t_i) =
+sb + sum k_i (s t_i), and every s t_i lies in S.x, so it is closed under
+products with S. A span is grown a coset at a time, each a translate of
+the last along a row of the addition table. A subring closure grows the
+span by the products of its generators until they fall inside it. Each
+closure is checked against the definition once, by whole-row subset
+tests, when the table is built; after that,
 "is I an ideal" is a lookup in the table, for is_ideal and for the ideal
 that a primality test, radical or decomposition is asked about, whose
 answers are kept beside the ideal in that table. A ring keeps each crisp
@@ -19,6 +29,7 @@ cuts of all its L-subrings share one Subring and its tables.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, ConsistencyError
@@ -28,6 +39,15 @@ DECOMPOSITION_IDEAL_CAP = 20
 
 class RingError(ValueError):
     """Bad ring tables, or a set that is not the subring/ideal it must be."""
+
+
+def _gatherers(table) -> tuple:
+    """For each row of a table, the function taking a sequence r to the
+    tuple (r[x] for x in row). A lone index makes itemgetter return a bare
+    item, so the rows of a one-element table are wrapped in a tuple."""
+    if len(table) == 1:
+        return tuple(lambda r, x=row[0]: (r[x],) for row in table)
+    return tuple(itemgetter(*row) for row in table)
 
 
 class FiniteRing:
@@ -66,33 +86,41 @@ class FiniteRing:
         return tuple(out)
 
     def _validate(self):
+        """The ring laws, a whole table row per step. The first law to fail
+        is named as by a scan of every (i, j) then (i, j, k) in order: a
+        row that fails is scanned again entry by entry."""
         n = len(self.elements)
         add, mul = self._add, self._mul
-        for i in range(n):
-            for j in range(n):
+        if tuple(zip(*add)) != add or tuple(zip(*mul)) != mul:
+            for i, j in itertools.product(range(n), repeat=2):
                 if add[i][j] != add[j][i]:
                     raise RingError("addition is not commutative")
                 if mul[i][j] != mul[j][i]:
                     raise RingError("multiplication is not commutative")
-        zeros = [z for z in range(n) if all(add[z][i] == i for i in range(n))]
+        zeros = [z for z in range(n) if add[z] == tuple(range(n))]
         if len(zeros) != 1:
             raise RingError("no unique additive identity")
-        self._zero = zeros[0]
-        neg = []
-        for i in range(n):
-            inv = [j for j in range(n) if add[i][j] == self._zero]
-            if len(inv) != 1:
+        self._zero = zero = zeros[0]
+        for i, row in enumerate(add):
+            if row.count(zero) != 1:
                 raise RingError(f"element {self.elements[i]!r} lacks a unique "
                                 "additive inverse")
-            neg.append(inv[0])
-        self._neg = tuple(neg)
-        for i, j, k in itertools.product(range(n), repeat=3):
-            if add[add[i][j]][k] != add[i][add[j][k]]:
-                raise RingError("addition is not associative")
-            if mul[mul[i][j]][k] != mul[i][mul[j][k]]:
-                raise RingError("multiplication is not associative")
-            if mul[i][add[j][k]] != add[mul[i][j]][mul[i][k]]:
-                raise RingError("multiplication does not distribute over addition")
+        self._neg = tuple(row.index(zero) for row in add)
+        # ga[j](r) is (r[add[j][k]] for every k), gm[j](r) likewise for mul
+        ga, gm = map(_gatherers, (add, mul))
+        for i, j in itertools.product(range(n), repeat=2):
+            ai, mi = add[i], mul[i]
+            if (add[ai[j]] == ga[j](ai) and mul[mi[j]] == gm[j](mi)
+                    and ga[j](mi) == gm[i](add[mi[j]])):
+                continue
+            for k in range(n):
+                if add[ai[j]][k] != ai[add[j][k]]:
+                    raise RingError("addition is not associative")
+                if mul[mi[j]][k] != mi[mul[j][k]]:
+                    raise RingError("multiplication is not associative")
+                if mi[add[j][k]] != add[mi[j]][mi[k]]:
+                    raise RingError(
+                        "multiplication does not distribute over addition")
 
     # -- constructors ----------------------------------------------------
 
@@ -247,10 +275,16 @@ class Subring:
         return cls(ring, ring.elements)
 
     def _check_closed(self, idx: frozenset):
+        """Raise RingError naming the first pair (i, j), in the order idx
+        iterates, whose difference or product leaves idx; a row i that
+        fails is scanned again to find j."""
         r = self.ring
         if not idx:
             raise RingError("a subring cannot be empty")
         for i in idx:
+            if (idx.issuperset(map(r._sub[i].__getitem__, idx))
+                    and idx.issuperset(map(r._mul[i].__getitem__, idx))):
+                continue
             for j in idx:
                 d = r._sub_i(i, j)
                 if d not in idx:
@@ -278,51 +312,79 @@ class Subring:
         r = self.ring
         if not I <= self._members_i or r.zero_i not in I:
             return False
-        for i in I:
-            for j in I:
-                if r._sub_i(i, j) not in I:
-                    return False
-        for s in self._members_i:
-            for i in I:
-                if r.mul_i(s, i) not in I:
-                    return False
-        return True
+        return (all(I.issuperset(map(r._sub[i].__getitem__, I)) for i in I)
+                and all(I.issuperset(map(r._mul[s].__getitem__, I))
+                        for s in self._members_i))
 
     def is_ideal(self, I: Iterable[str]) -> bool:
         """Read from the verified table of ideals (see _closures)."""
         return frozenset(I) in self._closures(True)
 
-    def _require_ideal(self, I: Iterable[str]) -> frozenset:
-        if frozenset(I) not in self._closures(True):
+    def _answers(self, I: Iterable[str]) -> dict:
+        """The answers kept beside the ideal I in the verified table; a set
+        that is not an ideal raises RingError."""
+        answers = self._closures(True).get(frozenset(I))
+        if answers is None:
             raise RingError(f"{sorted(I)} is not an ideal of {self!r}")
+        return answers
+
+    def _require_ideal(self, I: Iterable[str]) -> frozenset:
+        self._answers(I)
         return self._to_idx(I)
 
     def _answer(self, I: Iterable[str], key: str, compute):
         """compute(member indices of I), kept beside the ideal I in the
         verified table; a non-ideal and an error are never kept, so each
         raises on every call."""
-        idx = self._require_ideal(I)
-        answers = self._closures(True)[frozenset(I)]
+        answers = self._answers(I)
         if key not in answers:
-            answers[key] = compute(idx)
+            answers[key] = compute(self._to_idx(I))
         return answers[key]
 
     def _is_subring_i(self, S: frozenset) -> bool:
         r = self.ring
-        return all(r._sub_i(i, j) in S and r.mul_i(i, j) in S
-                   for i in S for j in S)
+        return all(S.issuperset(map(r._sub[i].__getitem__, S))
+                   and S.issuperset(map(r._mul[i].__getitem__, S))
+                   for i in S)
+
+    def _span(self, group, gens) -> set:
+        """The additive subgroup generated by a subgroup and gens. For each
+        g outside the group H so far, the cosets H + g, H + 2g, ... are
+        added until one meets what is already held; the first to do so is
+        H itself, and the union is the group that H and g generate."""
+        add = self.ring._add
+        H = set(group)
+        for g in gens:
+            if g not in H:
+                step = add[g].__getitem__
+                coset = list(map(step, H))
+                while coset[0] not in H:
+                    H.update(coset)
+                    coset = list(map(step, coset))
+        return H
 
     def _close(self, base: frozenset, x: int, ideal: bool) -> frozenset:
-        """Smallest ideal (subring) holding x and the ideal (subring) base;
-        closing under b - a suffices, since a - b = 0 - (b - a)."""
-        r = self.ring
-        out, todo = set(base) | {x}, [x]
+        """Smallest ideal (subring) holding x and the ideal (subring) base.
+
+        For an ideal B it is B + span({x} u S.x), S the members: that is
+        closed under products with S, as s(b + sum k_i t_i) =
+        sb + sum k_i (s t_i) and every s t_i lies in S.x. The span of a
+        set of generators is closed under products once every product of
+        two generators lies in it, by distributivity; so for a subring the
+        generators are base's members, x, and each such product that falls
+        outside the span so far, until none does."""
+        mul = self.ring._mul
+        if ideal:
+            gens = {x, *map(mul[x].__getitem__, self._members_i)}
+            return frozenset(self._span(base, gens - base))
+        out, gens, todo = set(base), list(base), [x]
         while todo:
-            a = todo.pop()
-            new = {r._add[r._neg[a]][b] for b in out} | {
-                r._mul[a][s] for s in (self._members_i if ideal else out)}
-            todo.extend(new - out)
-            out |= new
+            g = todo.pop()
+            if g not in out:
+                out = self._span(out, (g,))
+                gens.append(g)
+                todo.extend(p for p in map(mul[g].__getitem__, gens)
+                            if p not in out)
         return frozenset(out)
 
     def _closures(self, ideal: bool) -> dict[frozenset, dict]:
@@ -336,7 +398,7 @@ class Subring:
         found = self._found.get(ideal)
         if found is None:
             r = self.ring
-            found, todo = set(), [self._close(frozenset(), r.zero_i, ideal)]
+            found, todo = set(), [frozenset({r.zero_i})]
             while todo:
                 I = todo.pop()
                 if I not in found:
@@ -371,12 +433,9 @@ class Subring:
     def _is_prime_i(self, idx: frozenset) -> bool:
         if idx == self._members_i:
             return False
-        r = self.ring
-        for i in self._members_i:
-            for j in self._members_i:
-                if r.mul_i(i, j) in idx and i not in idx and j not in idx:
-                    return False
-        return True
+        mul, outside = self.ring._mul, self._members_i - idx
+        return all(idx.isdisjoint(map(mul[i].__getitem__, outside))
+                   for i in outside)
 
     def is_primary_ideal(self, I: Iterable[str]) -> bool:
         """xy in I forces x in I, or y in I, or x**n and y**m in I for some
@@ -384,18 +443,15 @@ class Subring:
         return self._answer(I, "primary", self._is_primary_i)
 
     def _is_primary_i(self, idx: frozenset) -> bool:
+        """By commutativity, a pair xy in I with x, y outside I fails
+        exactly when one of them, say x, has no power x**n (n > 1) in I;
+        so each such x is tested against every y outside I at once."""
         if idx == self._members_i:
             return False
-        r = self.ring
-        for i in self._members_i:
-            for j in self._members_i:
-                if r.mul_i(i, j) not in idx or i in idx or j in idx:
-                    continue
-                if not any(p in idx for p in r.powers(2)[i]):
-                    return False
-                if not any(p in idx for p in r.powers(2)[j]):
-                    return False
-        return True
+        r, outside = self.ring, self._members_i - idx
+        powers = r.powers(2)
+        return all(idx.isdisjoint(map(r._mul[i].__getitem__, outside))
+                   for i in outside if idx.isdisjoint(powers[i]))
 
     def radical_of(self, I: Iterable[str]) -> frozenset:
         """Elements with some positive power inside I. Always an ideal of

@@ -65,6 +65,21 @@ def test_validate_bad_lattice(tmp_path, capsys):
     assert "'a'" in err and "'b'" in err
 
 
+def test_validate_non_associative_ring_exits_1(tmp_path, capsys):
+    # a commutative loop on {0, a, b}: (a + a) + b = b, a + (a + b) = 0
+    doc = {"lattice": "chain2",
+           "ring": {"elements": ["0", "a", "b"],
+                    "add": [["0", "a", "b"], ["a", "0", "a"],
+                            ["b", "a", "0"]],
+                    "mul": [["0"] * 3] * 3},
+           "subsets": {}}
+    f = tmp_path / "bad_ring.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(f))
+    assert code == 1
+    assert out == "" and err == "error: addition is not associative\n"
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "no_such_file.json")
     assert code == 1

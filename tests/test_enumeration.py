@@ -8,7 +8,12 @@ same subsets in the same order.
 
 The crisp ideals and subrings behind that search are generated as
 closures of generators; the reference for them is the sweep over every
-subset that holds zero.
+subset that holds zero. Ring tables are validated, and crisp closures,
+ideal, subring, prime and primary tests run, a whole table row at a time;
+their references (`ring_oracles`) are the old pair-by-pair and
+triple-by-triple forms, set against them on valid rings and on seeded
+perturbations of small tables, which must give the same verdict and the
+same error message.
 
 The level side of ideal validation looks each cut up in a per-subring table
 of crisp ideals; the reference for it builds the level subring afresh for
@@ -47,25 +52,28 @@ lattice arises this way, so the draws go well beyond chains, m3 and square.
 import dataclasses
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lrings import (FiniteLattice, LIdeal, LSubring, Subring, ideal_survey,
-                    is_primary, is_prime, is_semiprime, make_lattice,
-                    make_ring, prime_radical, radical, semiprime_radical,
-                    sum_ideals)
+from lrings import (FiniteLattice, FiniteRing, LIdeal, LSubring, Subring,
+                    ideal_survey, is_primary, is_prime, is_semiprime,
+                    make_lattice, make_ring, prime_radical, radical,
+                    semiprime_radical, sum_ideals)
 from lrings.core import (LSubset, ValidationError, ideal_inequality_search,
-                         intersect_many, is_l_subring, level_cut_search,
+                         intersect_many, level_cut_search,
                          level_cuts_all_ideals, satisfies_ideal_inequalities,
-                         sum_subsets)
+                         satisfies_subring_inequalities, sum_subsets)
 from lrings.errors import CapExceeded, ConsistencyError
 from lrings.rings import RingError
 from lrings.radical import (DEFAULT_CANDIDATE_CAP, _is_prime, _is_semiprime,
                             _radical, primary_by_inequalities)
 from lrings.verify import (Instance, SuiteParams, _enumerate_mus,
                            check_theorem, generate_instances)
+
+import ring_oracles
 
 ALL_MUS = SuiteParams(mu_mode="all")  # every L-subring, default cap
 
@@ -111,7 +119,8 @@ def closure_lattices(draw):
 def box_subrings(ring, lat):
     """Every L-subring, by sweeping all |L|^|R| candidates."""
     return [combo for combo in itertools.product(lat.linext, repeat=len(ring))
-            if is_l_subring(LSubset._make(ring, lat, combo))]
+            if ring_oracles.satisfies_subring_inequalities(
+                LSubset._make(ring, lat, combo))[0]]
 
 
 def box_ideals(mu):
@@ -151,7 +160,7 @@ def per_cut_level_check(nu, mu):
         if not cut:
             continue
         mcut = [x for x, v in zip(ring.elements, mu.ivalues) if leq(a, v)]
-        if not Subring(ring, mcut)._is_ideal_i(cut):
+        if not ring_oracles.is_ideal_i(Subring(ring, mcut), cut):
             return False
     return True
 
@@ -689,11 +698,99 @@ def test_closures_match_subset_sweep(spec):
     ring = make_ring(spec)
     whole = Subring.whole(ring)
     subrings = whole.subrings()
-    assert subrings == subset_sweep(whole, whole._is_subring_i)
+
+    def is_subring(S):
+        return ring_oracles.is_subring_i(ring, S)
+
+    assert subrings == subset_sweep(whole, is_subring)
     for members in subrings:
         sub = Subring(ring, members)
-        assert sub.ideals() == subset_sweep(sub, sub._is_ideal_i)
-        assert sub.subrings() == subset_sweep(sub, sub._is_subring_i)
+        assert sub.ideals() == subset_sweep(
+            sub, lambda I: ring_oracles.is_ideal_i(sub, I))
+        assert sub.subrings() == subset_sweep(sub, is_subring)
+
+
+# -- the row kernels of the crisp layer against the pair-by-pair forms -------
+
+PERTURBED_BASES = [f"Z{n}" for n in range(1, 9)] + ["Z2xZ2", "Z2xZ3"]
+
+
+def outcome(build):
+    """What build returns, or the text of the RingError it raises."""
+    try:
+        return build()
+    except RingError as e:
+        return "RingError: " + str(e)
+
+
+def perturbed_tables(rng, count):
+    """count tables of the bases with one to three entries set to a random
+    index, each mirrored across the diagonal half the time so that the
+    laws after commutativity are reached too."""
+    for _ in range(count):
+        base = make_ring(rng.choice(PERTURBED_BASES))
+        n = len(base)
+        tables = [[list(row) for row in base._add],
+                  [list(row) for row in base._mul]]
+        for _ in range(rng.randint(1, 3)):
+            table = rng.choice(tables)
+            i, j, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            table[i][j] = v
+            if rng.random() < 0.5:
+                table[j][i] = v
+        yield base.elements, tables
+
+
+def assert_crisp_layer_matches_oracles(ring, rng):
+    n = len(ring)
+    whole = Subring.whole(ring)
+    assert whole.subrings() == ring_oracles.closures(whole, False)
+    subs = [Subring(ring, members) for members in whole.subrings()]
+    for sub in subs:
+        assert sub.ideals() == ring_oracles.closures(sub, True)
+        assert sub.subrings() == ring_oracles.closures(sub, False)
+        for I in map(sub._to_idx, sub.ideals()):
+            assert sub._is_prime_i(I) == ring_oracles.is_prime_i(sub, I)
+            assert sub._is_primary_i(I) == ring_oracles.is_primary_i(sub, I)
+    for _ in range(20):
+        idx = frozenset(rng.sample(range(n), rng.randint(0, n)))
+        labels = [ring.elements[i] for i in idx]
+        assert outcome(lambda: Subring(ring, labels)._members_i) == outcome(
+            lambda: ring_oracles.check_closed(ring, idx) or idx)
+        assert whole._is_subring_i(idx) == ring_oracles.is_subring_i(ring, idx)
+        for sub in subs:
+            assert sub._is_ideal_i(idx) == ring_oracles.is_ideal_i(sub, idx)
+
+
+def test_ring_row_kernels_match_pair_by_pair_forms():
+    # the same verdict and message for every table, and on the tables
+    # accepted, the same closures, closure errors and ideal and subring
+    # verdicts
+    rng = random.Random(27)
+    accepted = 0
+    for elements, (add, mul) in perturbed_tables(rng, 1500):
+        expected = outcome(
+            lambda: ring_oracles.validate_tables(elements, add, mul))
+        labels = ([[elements[x] for x in row] for row in t]
+                  for t in (add, mul))
+        got = outcome(lambda: FiniteRing(elements, *labels))
+        if isinstance(expected, str):
+            assert got == expected, (elements, add, mul)
+        else:
+            accepted += 1
+            assert not isinstance(got, str), got
+            assert (got._zero, got._neg) == expected
+            assert_crisp_layer_matches_oracles(got, rng)
+    assert 0 < accepted < 1500
+    for ring in RINGS:
+        assert_crisp_layer_matches_oracles(ring, rng)
+        for lat in (make_lattice("chain3"), make_lattice("m3")):
+            for mu in _enumerate_mus(ring, lat, ALL_MUS)[:40]:
+                values = list(mu.ivalues)
+                values[rng.randrange(len(values))] = rng.randrange(len(lat))
+                f = LSubset._make(ring, lat, values)
+                assert satisfies_subring_inequalities(f) == \
+                    ring_oracles.satisfies_subring_inequalities(f)
 
 
 @pytest.mark.parametrize("spec", CRISP_RINGS,

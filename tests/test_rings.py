@@ -8,6 +8,8 @@ from lrings import (CapExceeded, ConsistencyError, FiniteRing, RingError,
 from lrings.radical import ideal_survey
 from lrings.verify import SuiteParams, _enumerate_mus
 
+import ring_oracles
+
 
 def ideals_of(ring_name):
     ring = make_ring(ring_name)
@@ -47,6 +49,61 @@ def test_bad_tables_rejected():
     mul = [["1"] * 4 for _ in range(4)]
     with pytest.raises(RingError, match="distribut"):
         FiniteRing(els, add, mul)
+
+
+def _z(n):
+    return [[str((i + j) % n) for j in range(n)] for i in range(n)]
+
+
+def _zero(n):
+    return [["0"] * n for _ in range(n)]
+
+
+# a commutative loop on {0, a, b}: 0 is the identity and each element its
+# own inverse, but (a + a) + b = b while a + (a + b) = 0
+_LOOP = [["0", "a", "b"], ["a", "0", "a"], ["b", "a", "0"]]
+
+BAD_TABLES = {
+    "add-commutative": (["0", "1"], [["0", "1"], ["0", "0"]], _zero(2),
+                        "addition is not commutative"),
+    "mul-commutative": (["0", "1"], _z(2), [["0", "1"], ["0", "0"]],
+                        "multiplication is not commutative"),
+    "identity": (["0", "1"], _zero(2), _zero(2),
+                 "no unique additive identity"),
+    "inverse": (["0", "1"], [["0", "1"], ["1", "1"]], _zero(2),
+                "element '1' lacks a unique additive inverse"),
+    "add-associative": (["0", "a", "b"], _LOOP, _zero(3),
+                        "addition is not associative"),
+    # Z3 addition; the first failing triple is (1, 1, 2):
+    # (1 * 1) * 2 = 2 * 2 = 0, while 1 * (1 * 2) = 1 * 1 = 2
+    "mul-associative": (["0", "1", "2"], _z(3),
+                        [["0", "0", "0"], ["0", "2", "1"], ["0", "1", "0"]],
+                        "multiplication is not associative"),
+    # two laws fail; the first pair in (i, j) order is (0, 1), where only
+    # multiplication is not symmetric, so its message comes first
+    "order-commutative": (["0", "1", "2"],
+                          [["0", "1", "2"], ["1", "2", "1"], ["2", "0", "1"]],
+                          [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+                          "multiplication is not commutative"),
+    # two laws fail; 0 * 0 = a breaks distributivity at (0, 0, 0), before
+    # the loop's first non-associative triple
+    "order-triples": (["0", "a", "b"], _LOOP,
+                      [["a", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+                      "multiplication does not distribute over addition"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_TABLES)
+def test_each_ring_law_names_itself(case):
+    els, add, mul, message = BAD_TABLES[case]
+    with pytest.raises(RingError) as e:
+        FiniteRing(els, add, mul)
+    assert str(e.value) == message
+    with pytest.raises(RingError) as e:
+        ring_oracles.validate_tables(
+            els, *([[els.index(x) for x in row] for row in t]
+                   for t in (add, mul)))
+    assert str(e.value) == message
 
 
 def test_zero_ring_needs_n_ge_1():
@@ -191,7 +248,7 @@ def test_ideal_lookup_matches_the_definition(spec):
         sub = Subring(ring, members)
         for k in range(len(sub.members) + 1):
             for I in itertools.combinations(sub.members, k):
-                expected = sub._is_ideal_i(sub._to_idx(I))
+                expected = ring_oracles.is_ideal_i(sub, sub._to_idx(I))
                 assert sub.is_ideal(I) == expected
                 if expected:
                     assert sub._require_ideal(I) == sub._to_idx(I)
