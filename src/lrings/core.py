@@ -10,29 +10,50 @@ disagreement raises ConsistencyError because it would mean either the code
 or a theorem is wrong. The pointwise inequalities and sums read rows of the
 lattice and ring tables, each looked up once outside the inner loop.
 
-Each L-subring keeps one memo of what is asked again about it and its
-ideals (`subring_memo`), filled on first request and never holding a
-failure. An L-subset's level and strong cuts are one table kept there;
-the ring keeps one object per distinct cut set and one crisp subring per
-member set, so the level criterion, the ideal survey and every crisp
-question about a cut of mu read one table per ring and member set. Once
-the subring's ideal survey is built, an LIdeal whose values are in it
-reuses the verdict both characterizations gave then; any other values
-are validated in full, and an ideal missing from the survey raises
-ConsistencyError.
-Derived ideals (meets, sums, radicals, lifts) are built from their index
-values by `LIdeal._of`. It hands back the survey's own object for values
-the survey lists; only other values go through the constructor and its
-full validation, and before the survey is built each value set it accepts
-is kept in the memo, so it is validated once.
+Each fact that is asked again is kept on the object it is about, filled on
+first request and never holding a failure:
+- every L-subset keeps its table of level and strong cuts (`_cuts`); the
+  level criterion builds it while validating an ideal, so the ideal keeps
+  it from then on. The ring keeps one object per distinct cut set and one
+  crisp subring per member set, so the level criterion, the ideal survey
+  and every crisp question about a cut of mu read one table per ring and
+  member set;
+- every LIdeal keeps its pointwise, prime and semiprime radicals, its
+  prime, semiprime and primary verdicts (`radical`) and its row of the
+  ideals above it in the built survey (`ideals_above`);
+- a surveyed ideal also keeps its sums and meets with the ideals at its
+  own or a later survey position, each row a dict from that position to
+  the result, so a pair is one entry in the row of its smaller position;
+- the L-subring keeps, in `subring_memo`, what is about the whole subring:
+  the up-masks behind the rows above, the prime and semiprime family masks
+  (`radical.enumerate_family`), the decompositions and the T2.12 pairs
+  that `verify` asks for, and, before its survey is built, the ideals
+  `LIdeal._of` validated.
+An ideal that is not a survey entry keeps its own facts in the same slots;
+a sum or meet of two such ideals is computed on every request.
+
+Once the subring's ideal survey is built, an LIdeal whose values are in it
+reuses the verdict both characterizations gave then; any other values are
+validated in full, and an ideal missing from the survey raises
+ConsistencyError. Derived ideals (meets, sums, radicals, lifts) are built
+from their index values by `LIdeal._of`. It hands back the survey's own
+object for values the survey lists; only other values go through the
+constructor and its full validation, and before the survey is built each
+value set it accepts is kept in the memo, so it is validated once.
 
 A surveyed ideal's position in its survey (`LIdeal._pos`, set only by
 `radical.ideal_survey`, with `mu._survey.ideals[eta._pos] is eta`) is its
-handle for order questions: whether one surveyed ideal contains another
-is a bit of the second one's row of the ideals above it, one int bitmask
-per ideal in the memo, and the sum and the meet of two surveyed ideals
-are kept there in rows, one per ideal, by their positions. Every other
-operand is compared pointwise.
+handle for order questions. Whether a surveyed ideal v contains an ideal
+eta is bit v._pos of eta's row above, an int bitmask built from the
+subring's up-masks: up[x][a] is the bitmask of the surveyed ideals v with
+a <= v(x), and
+
+    row(eta) = AND over x of up[x][eta(x)],
+
+because v contains eta exactly when eta(x) <= v(x) for every x, that is,
+when v is in up[x][eta(x)] for every x. A row costs |R| ANDs, and the
+up-masks cost one pass over the survey per subring. Every other operand
+is compared pointwise.
 
 All values are immutable; every operation is pure.
 """
@@ -41,7 +62,8 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping, Sequence
-from operator import getitem
+from functools import reduce
+from operator import and_, getitem, or_
 
 from .errors import CapExceeded, ConsistencyError
 from .lattice import FiniteLattice
@@ -54,9 +76,11 @@ class ValidationError(ValueError):
 
 
 class LSubset:
-    """Total map ring elements -> lattice elements, stored by index."""
+    """Total map ring elements -> lattice elements, stored by index. `_cuts`
+    keeps its cut table (see `cuts`); `_survey` and `_memo` are filled only
+    on an L-subring."""
 
-    __slots__ = ("ring", "lattice", "ivalues", "_survey", "_memo")
+    __slots__ = ("ring", "lattice", "ivalues", "_survey", "_memo", "_cuts")
 
     def __init__(self, ring: FiniteRing, lattice: FiniteLattice, values):
         self.ring = ring
@@ -78,7 +102,7 @@ class LSubset:
             raise ValidationError(f"values must be a mapping or a list, "
                                   f"not {values!r}")
         self.ivalues = tuple(lattice.index(v) for v in seq)
-        self._survey = self._memo = None
+        self._survey = self._memo = self._cuts = None
 
     @classmethod
     def _make(cls, ring, lattice, ivalues: tuple[int, ...]) -> "LSubset":
@@ -86,7 +110,7 @@ class LSubset:
         obj.ring = ring
         obj.lattice = lattice
         obj.ivalues = tuple(ivalues)
-        obj._survey = obj._memo = None
+        obj._survey = obj._memo = obj._cuts = None
         return obj
 
     def value(self, x: str) -> str:
@@ -218,7 +242,8 @@ def ideal_inequality_search(mu: "LSubring", cap: int) -> list[tuple[int, ...]]:
 
 def level_cuts_all_ideals(nu: LSubset, mu: "LSubring") -> bool:
     """Level characterization: nu <= mu and every non-empty level cut of nu
-    is a crisp ideal of the matching level subring of mu."""
+    is a crisp ideal of the matching level subring of mu. nu keeps the cut
+    table this builds, so an ideal validated here never builds it again."""
     if not nu.same_carrier(mu):
         raise ValidationError("carriers differ")
     leq = nu.lattice._leq
@@ -226,7 +251,7 @@ def level_cuts_all_ideals(nu: LSubset, mu: "LSubring") -> bool:
         return False
     subring = mu.ring.subring  # mu's cut holds nu's, so it is not empty
     return all(not cut or subring(mcut).is_ideal(cut)
-               for cut, mcut in zip(_cuts_of(nu)[False], cuts(mu)))
+               for cut, mcut in zip(cuts(nu), cuts(mu)))
 
 
 def is_ideal_of(nu: LSubset, mu: "LSubring") -> bool:
@@ -264,17 +289,26 @@ class LSubring(LSubset):
 
 
 class LIdeal(LSubset):
-    """An LSubset validated as an ideal of a given L-subring. `_pos` is its
-    position in the parent's built survey when the survey lists this very
-    object (`parent._survey.ideals[eta._pos] is eta`), and None otherwise;
-    only `radical.ideal_survey` sets it."""
+    """An LSubset validated as an ideal of a given L-subring.
 
-    __slots__ = ("parent", "_pos")
+    `_pos` is its position in the parent's built survey when the survey
+    lists this very object (`parent._survey.ideals[eta._pos] is eta`), and
+    None otherwise; only `radical.ideal_survey` sets it. The other slots
+    keep what is asked again about the ideal, None until first asked: its
+    pointwise, prime and semiprime radicals (`_rad`, `_prad`, `_srad`), its
+    prime, semiprime and primary verdicts (`_prime`, `_semiprime`,
+    `_primary`), its row of the ideals above it (`_above`), and, for a
+    survey entry, its rows of sums and meets (`_sums`, `_meets`)."""
+
+    __slots__ = ("parent", "_pos", "_rad", "_prad", "_srad", "_prime",
+                 "_semiprime", "_primary", "_above", "_sums", "_meets")
 
     def __init__(self, parent: LSubring, values):
         super().__init__(parent.ring, parent.lattice, values)
         self.parent = parent
-        self._pos = None
+        self._pos = self._rad = self._prad = self._srad = None
+        self._prime = self._semiprime = self._primary = None
+        self._above = self._sums = self._meets = None
         survey = parent._survey
         if survey is not None and self.ivalues in survey.index:
             return
@@ -310,13 +344,16 @@ class LIdeal(LSubset):
         return cls(parent, [els[i] for i in ivalues])
 
     def contains(self, other: LSubset) -> bool:
-        """Pointwise other <= self; for two ideals listed by one built
-        survey, a bit of other's row of the ideals above it."""
+        """Pointwise other <= self; when self is a survey entry and other
+        an ideal of the same subring, a bit of other's row of the ideals
+        above it."""
         k = self._pos
-        if (k is None or getattr(other, "_pos", None) is None
-                or other.parent is not self.parent):
-            return LSubset.contains(self, other)
-        return bool(ideals_above(other) >> k & 1)
+        if k is not None and getattr(other, "parent", None) is self.parent:
+            row = other._above
+            if row is None:
+                row = ideals_above(other)
+            return row >> k & 1 == 1
+        return LSubset.contains(self, other)
 
     def zero_value(self) -> str:
         return self.lattice.elements[self.ivalues[self.ring.zero_i]]
@@ -336,11 +373,12 @@ def strong_cut(f: LSubset, a: str) -> frozenset[str]:
 
 
 def cuts(f: LSubset, strong: bool = False) -> tuple[frozenset[str], ...]:
-    """f's level (strong) cuts, by lattice index. Both are kept under
-    ("cuts", values) in the memo of f's subring (of f itself when it is
-    an L-subring)."""
-    return subring_memo(getattr(f, "parent", f), ("cuts", f.ivalues),
-                        _cuts_of, f)[strong]
+    """f's level (strong) cuts, by lattice index. Both are built on the
+    first request and kept on f (`f._cuts`)."""
+    table = f._cuts
+    if table is None:
+        table = f._cuts = _cuts_of(f)
+    return table[strong]
 
 
 def _cuts_of(f: LSubset) -> tuple[tuple[frozenset, ...], ...]:
@@ -455,18 +493,14 @@ def level_cut_search(ring: FiniteRing, lattice: FiniteLattice, allowed,
 def subring_memo(mu: LSubset, key, compute, *args):
     """compute(*args), kept under key in mu's memo, which is made on first
     use, whether or not mu's ideal survey is built; an error is never kept,
-    so it is raised again on every request. Most keys hold values: the
-    predicates' verdicts ("is_prime"/"is_semiprime"/"is_primary", v), the
-    prime, semiprime and pointwise radical ("prime"/"semiprime"/"rad", v),
-    the level and strong cuts ("cuts", v), sums of ideals outside the
-    survey ("sum", v, w), decompositions ("dec", v), and the ideals
-    `LIdeal._of` validated before the survey was built ("ideal", v). Others
-    are keyed by survey position: the bitmask of the ideals above ideal k
-    ("above", k); one row per ideal k of its sums ("sum", k) and meets
-    ("meet", k) with the ideals l >= k, each a dict from l to the ideal;
-    and, once per subring, the position pairs of semiprime ideals whose
-    meet is not semiprime ("T2.12 pairs",). A row is filled entry by entry,
-    and an entry is never a failure."""
+    so it is raised again on every request. The memo holds what is about
+    the whole subring; each ideal keeps its own facts (see LIdeal). Its
+    keys: the up-masks of the built survey ("up",) (see `ideals_above`);
+    the bitmasks of its prime and semiprime ideals ("family", kind) (see
+    `radical.enumerate_family`); the decompositions `verify` asks for
+    ("dec", v); once per subring, the position pairs of semiprime ideals
+    whose meet is not semiprime ("T2.12 pairs",); and the ideals
+    `LIdeal._of` validated before the survey was built ("ideal", v)."""
     memo = mu._memo
     if memo is None:
         memo = mu._memo = {}
@@ -478,31 +512,31 @@ def subring_memo(mu: LSubset, key, compute, *args):
     return out
 
 
-def _row_memo(mu: LSubset, kind: str, k: int, l: int, compute, *args):
-    """compute(*args) for the surveyed ideals at positions k and l of mu,
-    kept in mu's memo in the row (kind, min(k, l)), a dict, under
-    max(k, l); an error is never kept."""
-    if k > l:
-        k, l = l, k
-    row = subring_memo(mu, (kind, k), dict)
-    try:
-        return row[l]
-    except KeyError:
-        pass
-    out = row[l] = compute(*args)
-    return out
-
-
 def ideals_above(eta: LIdeal) -> int:
-    """Bitmask of the ideals of eta's built survey that contain eta: bit l
-    is set when ideal l does. eta must be listed by the survey; the row is
-    kept under ("above", eta._pos) in the subring memo."""
-    return subring_memo(eta.parent, ("above", eta._pos), _above, eta)
+    """Bitmask of the ideals of the built survey of eta's subring that
+    contain eta: bit l is set when ideal l does. It is the AND of the
+    subring's up-masks at eta's values (see the module docstring), kept on
+    eta (`eta._above`)."""
+    row = eta._above
+    if row is None:
+        up = subring_memo(eta.parent, ("up",), _up_masks, eta.parent)
+        row = eta._above = reduce(and_, map(getitem, up, eta.ivalues))
+    return row
 
 
-def _above(eta: LIdeal) -> int:
-    return sum(1 << l for l, v in enumerate(eta.parent._survey.ideals)
-               if LSubset.contains(v, eta))
+def _up_masks(mu: LSubring) -> tuple[tuple[int, ...], ...]:
+    """up[x][a]: the bitmask of the ideals v of mu's built survey with
+    a <= v(x), for every ring index x and lattice index a."""
+    ideals = mu._survey.ideals
+    leq = mu.lattice._leq
+    above = [[b for b, ok in enumerate(row) if ok] for row in leq]
+    up = []
+    for x in range(len(mu.ring)):
+        at = [0] * len(leq)  # the ideals v with v(x) = b, at b
+        for k, v in enumerate(ideals):
+            at[v.ivalues[x]] |= 1 << k
+        up.append(tuple(reduce(or_, map(at.__getitem__, bs)) for bs in above))
+    return tuple(up)
 
 
 def sum_subsets(f: LSubset, g: LSubset) -> LSubset:
@@ -513,7 +547,7 @@ def sum_subsets(f: LSubset, g: LSubset) -> LSubset:
     r, lat = f.ring, f.lattice
     meet, join = lat._meet, lat._join  # the loop is hot
     fv, gv = f.ivalues, g.ivalues
-    bot = lat.index(lat.bottom)
+    bot = lat._bot
     out = []
     for sub_x in r._sub:  # x - y for every y
         acc = bot
@@ -533,17 +567,24 @@ def sum_ideals(a: LIdeal, b: LIdeal) -> LIdeal:
     values can break the level structure); that raises a ValidationError
     naming the situation.
 
-    The sum of two ideals listed by one built survey is kept in the
-    subring memo in the row ("sum", k) of the smaller position k, under
-    the other position; sums commute. The inputs are checked only when a
-    sum is computed, and a failure is never kept. Any other sum is kept
-    under ("sum", v, w), the operands' values in order."""
-    k, l = getattr(a, "_pos", None), getattr(b, "_pos", None)
-    if k is not None and l is not None and a.parent is b.parent:
-        return _row_memo(a.parent, "sum", k, l, _sum_ideals, a, b)
-    _require_summable(a, b)  # before the lookup, which keys values only
-    return subring_memo(a.parent, ("sum", a.ivalues, b.ivalues),
-                        _sum_ideals, a, b)
+    The sum of two entries of one built survey is kept in the sum row
+    (`_sums`) of the one at the smaller position, under the other
+    position; sums commute. The inputs are checked only when a sum is
+    computed, and a failure is never kept. Any other sum is computed on
+    every request."""
+    k, l = a._pos, b._pos
+    if k is None or l is None or a.parent is not b.parent:
+        return _sum_ideals(a, b)
+    holder, key = (a, l) if k <= l else (b, k)
+    row = holder._sums
+    if row is None:
+        row = holder._sums = {}
+    try:
+        return row[key]
+    except KeyError:
+        pass
+    out = row[key] = _sum_ideals(a, b)
+    return out
 
 
 def _require_summable(a: LIdeal, b: LIdeal) -> None:
@@ -586,13 +627,29 @@ def intersect_many(fs: Sequence[LIdeal]) -> LIdeal:
     """Pointwise big-meet of a non-empty family of ideals of one L-subring,
     as an ideal of the first one's parent; a meet of ideals is always an
     ideal, so one that fails to validate raises ConsistencyError. The meet
-    of two ideals listed by one built survey is kept in the subring memo
-    in the row ("meet", k) of the smaller position k, under the other."""
+    of two entries of one built survey is kept in the meet row (`_meets`)
+    of the one at the smaller position, under the other position; when
+    their rows above show that one contains the other, it is the other."""
     if len(fs) == 2:
         a, b = fs
-        k, l = getattr(a, "_pos", None), getattr(b, "_pos", None)
+        k, l = a._pos, b._pos
         if k is not None and l is not None and a.parent is b.parent:
-            return _row_memo(a.parent, "meet", k, l, _intersect, fs)
+            holder, key = (a, l) if k <= l else (b, k)
+            row = holder._meets
+            if row is None:
+                row = holder._meets = {}
+            try:
+                return row[key]
+            except KeyError:
+                pass
+            if ideals_above(a) >> l & 1:
+                out = a
+            elif ideals_above(b) >> k & 1:
+                out = b
+            else:
+                out = _intersect(fs)
+            row[key] = out
+            return out
     return _intersect(fs)
 
 
@@ -607,7 +664,7 @@ def _intersect(fs: Sequence[LIdeal]) -> LIdeal:
     meet = first.lattice._meet
     vals = first.ivalues
     for f in fs[1:]:
-        vals = tuple(meet[a][b] for a, b in zip(vals, f.ivalues))
+        vals = tuple([meet[a][b] for a, b in zip(vals, f.ivalues)])
     try:
         return LIdeal._of(first.parent, vals)
     except ValidationError as e:

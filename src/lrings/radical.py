@@ -16,22 +16,31 @@ their values along the lattice's fixed linear extension), is cached on the
 subring, and answers every family and radical query. Its index of values
 lets LIdeal reuse the verdict both ideal characterizations gave when the
 survey was built. The survey stamps each ideal with its position (`_pos`;
-`mu._survey.ideals[eta._pos] is eta`), and eta's family is read off its
-row of the ideals above it (`core.ideals_above`), so containment is asked
-once per pair of ideals.
+`mu._survey.ideals[eta._pos] is eta`). eta's family is the AND of its row
+of the ideals above it (`core.ideals_above`) with the subring's bitmask of
+prime or semiprime ideals, read in survey order.
 
-What is asked again about an ideal (each predicate's verdict, its three
-radicals, its cut table and its sums) is kept in its subring's one memo,
-`core.subring_memo`. The predicates and the pointwise radical read rows of
-the lattice's tables and of the ring's product and power tables, looked up
-outside the inner loop. Each family meet is checked once, when it is met: a
-prime radical agrees with eta at zero, and a semiprime radical equals the
-pointwise radical (S = rad, proved in the README). Only the prime and
-semiprime radicals build a survey; the pointwise radical, cuts, sums and
-predicates never do. The candidate cap is taken by `ideal_survey` alone
-and bounds the cut assignments its search tries; a cached survey is
-never refused, so a caller that wants a cap builds the survey with it
-first.
+Where each fact lives:
+- each predicate's verdict and each of the three radicals of an ideal, on
+  the ideal itself (`_prime`, `_semiprime`, `_primary`, `_rad`, `_prad`,
+  `_srad`; see core.LIdeal), filled on first request and read there
+  inline after that;
+- the family masks, one bitmask per kind and subring, in the subring's
+  memo under ("family", kind) (`core.subring_memo`), built on the first
+  family request by asking the predicate of every surveyed ideal;
+- the survey itself on the subring (`mu._survey`).
+A failure is never kept: a primary disagreement or a family meet that
+fails its check raises again on every request.
+
+The predicates and the pointwise radical read rows of the lattice's tables
+and of the ring's product and power tables, looked up outside the inner
+loop. Each family meet is checked once, when it is met: a prime radical
+agrees with eta at zero, and a semiprime radical equals the pointwise
+radical (S = rad, proved in the README). Only the prime and semiprime
+radicals build a survey; the pointwise radical, cuts, sums and predicates
+never do. The candidate cap is taken by `ideal_survey` alone and bounds
+the cut assignments its search tries; a cached survey is never refused, so
+a caller that wants a cap builds the survey with it first.
 """
 
 from __future__ import annotations
@@ -52,7 +61,10 @@ DEFAULT_CANDIDATE_CAP = 2_000_000
 def is_prime(eta: LIdeal) -> bool:
     """For every pair, eta(xy) ^ mu(x) ^ mu(y) equals eta(x) ^ mu(y) or
     eta(y) ^ mu(x). The whole subring is never prime."""
-    return subring_memo(eta.parent, ("is_prime", eta.ivalues), _is_prime, eta)
+    verdict = eta._prime
+    if verdict is None:
+        verdict = eta._prime = _is_prime(eta)
+    return verdict
 
 
 def _is_prime(eta: LIdeal) -> bool:
@@ -72,8 +84,10 @@ def _is_prime(eta: LIdeal) -> bool:
 
 def is_semiprime(eta: LIdeal) -> bool:
     """eta(x^n) ^ mu(x) = eta(x) for every x and every positive n."""
-    return subring_memo(eta.parent, ("is_semiprime", eta.ivalues),
-                        _is_semiprime, eta)
+    verdict = eta._semiprime
+    if verdict is None:
+        verdict = eta._semiprime = _is_semiprime(eta)
+    return verdict
 
 
 def _is_semiprime(eta: LIdeal) -> bool:
@@ -129,8 +143,10 @@ def primary_by_level_cuts(eta: LIdeal) -> bool:
 def is_primary(eta: LIdeal) -> bool:
     """Both characterizations, run on the first request, which must agree;
     a disagreement raises ConsistencyError on every request."""
-    return subring_memo(eta.parent, ("is_primary", eta.ivalues),
-                        _is_primary, eta)
+    verdict = eta._primary
+    if verdict is None:
+        verdict = eta._primary = _is_primary(eta)
+    return verdict
 
 
 def _is_primary(eta: LIdeal) -> bool:
@@ -158,14 +174,17 @@ def radical(eta: LIdeal) -> LIdeal:
     of (x - y)^(2N) holds x^k or y^k with k >= N, so eta takes at least
     rad(x) ^ rad(y) on it, and (xy)^N = x^N y^N gives rad(xy) >= mu(x) ^
     rad(y) and, symmetrically, rad(x) ^ mu(y). The README has it in full."""
-    return subring_memo(eta.parent, ("rad", eta.ivalues), _radical, eta)
+    out = eta._rad
+    if out is None:
+        out = eta._rad = _radical(eta)
+    return out
 
 
 def _radical(eta: LIdeal) -> LIdeal:
     mu = eta.parent
     r, lat = eta.ring, eta.lattice
     meet, join = lat._meet, lat._join
-    bot = lat.index(lat.bottom)
+    bot = lat._bot
     e = eta.ivalues
     out = []
     for mi, powers in zip(mu.ivalues, r.powers(1)):
@@ -192,8 +211,9 @@ class IdealSurvey:
 
     `index` maps each ideal's values to its position; an LIdeal whose values
     are in it skips validation, since both characterizations already agreed
-    on them. What is asked of the ideals later lives in the subring's memo
-    (`core.subring_memo`)."""
+    on them. What is asked of the ideals later is kept on each ideal (see
+    core.LIdeal), and the survey's up-masks and family masks in the
+    subring's memo (`core.subring_memo`)."""
     ideals: tuple[LIdeal, ...]
     index: dict = field(init=False, repr=False, compare=False)
 
@@ -228,16 +248,27 @@ def ideal_survey(mu: LSubring, cap: int = DEFAULT_CANDIDATE_CAP) -> IdealSurvey:
 def enumerate_family(eta: LIdeal, kind: str) -> tuple[LIdeal, ...]:
     """All prime/semiprime ideals of the parent subring containing eta, in
     canonical order: the ideals on eta's row of the parent's ideal survey
-    (`core.ideals_above`), filtered by kind."""
+    (`core.ideals_above`) that are on the subring's mask of that kind."""
     if kind not in ("prime", "semiprime"):
         raise ValueError(f"kind must be 'prime' or 'semiprime', not {kind!r}")
-    member = is_prime if kind == "prime" else is_semiprime
     mu = eta.parent
     ideals = ideal_survey(mu).ideals
     if eta._pos is None:
         eta = LIdeal._of(mu, eta.ivalues)  # the survey's own object
-    row = ideals_above(eta)
-    return tuple(v for l, v in enumerate(ideals) if row >> l & 1 and member(v))
+    hits = ideals_above(eta) & subring_memo(mu, ("family", kind),
+                                            _family_mask, mu, kind)
+    out = []
+    while hits:
+        low = hits & -hits
+        out.append(ideals[low.bit_length() - 1])
+        hits ^= low
+    return tuple(out)
+
+
+def _family_mask(mu: LSubring, kind: str) -> int:
+    """The bitmask of the prime (semiprime) ideals of mu's built survey."""
+    member = is_prime if kind == "prime" else is_semiprime
+    return sum(1 << k for k, v in enumerate(mu._survey.ideals) if member(v))
 
 
 def _family_meet(eta: LIdeal, kind: str) -> LIdeal:
@@ -261,15 +292,19 @@ def prime_radical(eta: LIdeal) -> LIdeal:
     """Meet of all prime ideals of the subring containing eta; the whole
     subring when there are none. Always an ideal, and always agrees with
     eta at zero."""
-    return subring_memo(eta.parent, ("prime", eta.ivalues), _family_meet,
-                        eta, "prime")
+    out = eta._prad
+    if out is None:
+        out = eta._prad = _family_meet(eta, "prime")
+    return out
 
 
 def semiprime_radical(eta: LIdeal) -> LIdeal:
     """Meet of all semiprime ideals of the subring containing eta; the
     whole subring when there are none. It always equals radical(eta)."""
-    return subring_memo(eta.parent, ("semiprime", eta.ivalues),
-                        _family_meet, eta, "semiprime")
+    out = eta._srad
+    if out is None:
+        out = eta._srad = _family_meet(eta, "semiprime")
+    return out
 
 
 # ---------------------------------------------------------------------------

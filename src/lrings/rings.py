@@ -55,16 +55,32 @@ class FiniteRing:
     the crisp subrings and cut sets it keeps as they are asked for."""
 
     def __init__(self, elements: Sequence[str], add, mul, name: str | None = None):
+        self._set_elements(elements)
+        self._set_tables(self._table(add, "add"), self._table(mul, "mul"),
+                         name)
+
+    @classmethod
+    def _from_indices(cls, elements, add, mul, name: str) -> "FiniteRing":
+        """A ring from index tables (tuples of tuples of element indices),
+        validated as the label tables of __init__ are."""
+        ring = cls.__new__(cls)
+        ring._set_elements(elements)
+        ring._set_tables(add, mul, name)
+        return ring
+
+    def _set_elements(self, elements) -> None:
         self.elements = tuple(elements)
-        self.name = name or f"ring{len(self.elements)}"
         if len(set(self.elements)) != len(self.elements):
             raise RingError("duplicate element labels")
-        n = len(self.elements)
-        if n == 0:
+        if not self.elements:
             raise RingError("empty carrier")
         self._index = {a: i for i, a in enumerate(self.elements)}
-        self._add = self._table(add, "add")
-        self._mul = self._table(mul, "mul")
+
+    def _set_tables(self, add, mul, name) -> None:
+        """The constructor step both label and index tables reach: keep
+        and validate the index tables and set up the derived tables."""
+        self.name = name or f"ring{len(self.elements)}"
+        self._add, self._mul = add, mul
         self._validate()
         self._sub = tuple(tuple(row[j] for j in self._neg) for row in self._add)
         # crisp subrings by member set, one object per distinct cut set, and
@@ -129,25 +145,24 @@ class FiniteRing:
         """Integers mod n, labels "0".."n-1"."""
         if n < 1:
             raise RingError("Zn needs n >= 1")
-        els = [str(i) for i in range(n)]
-        add = [[str((i + j) % n) for j in range(n)] for i in range(n)]
-        mul = [[str((i * j) % n) for j in range(n)] for i in range(n)]
-        return cls(els, add, mul, name=f"Z{n}")
+        add = tuple(tuple(range(i, n)) + tuple(range(i)) for i in range(n))
+        mul = tuple(tuple(i * j % n for j in range(n)) for i in range(n))
+        return cls._from_indices([str(i) for i in range(n)], add, mul,
+                                 name=f"Z{n}")
 
     @classmethod
     def product(cls, a: "FiniteRing", b: "FiniteRing") -> "FiniteRing":
-        """Componentwise product; labels "(x,y)"."""
-        els, pairs = [], []
-        for x in a.elements:
-            for y in b.elements:
-                els.append(f"({x},{y})")
-                pairs.append((x, y))
-        idx = {p: lab for p, lab in zip(pairs, els)}
-        add = [[idx[(a.add(p[0], q[0]), b.add(p[1], q[1]))] for q in pairs]
-               for p in pairs]
-        mul = [[idx[(a.mul(p[0], q[0]), b.mul(p[1], q[1]))] for q in pairs]
-               for p in pairs]
-        return cls(els, add, mul, name=f"{a.name}x{b.name}")
+        """Componentwise product; labels "(x,y)", element (x, y) at index
+        x * |b| + y."""
+        nb = len(b)
+        els = [f"({x},{y})" for x in a.elements for y in b.elements]
+
+        def table(ta, tb):
+            return tuple(tuple(p * nb + q for p in ta[x] for q in tb[y])
+                         for x in range(len(a)) for y in range(nb))
+        return cls._from_indices(els, table(a._add, b._add),
+                                 table(a._mul, b._mul),
+                                 name=f"{a.name}x{b.name}")
 
     # -- queries ---------------------------------------------------------
 
@@ -334,7 +349,8 @@ class Subring:
 
     def _answer(self, I: Iterable[str], key: str, compute):
         """compute(member indices of I), kept beside the ideal I in the
-        verified table; a non-ideal and an error are never kept, so each
+        verified table under key ("prime", "primary", "radical" or
+        "decomposition"); a non-ideal and an error are never kept, so each
         raises on every call."""
         answers = self._answers(I)
         if key not in answers:
@@ -472,8 +488,14 @@ class Subring:
         or None when no subset of the primary ideals works. Search is
         exhaustive over subsets, smallest first, in ideal enumeration
         order; rings with more than DECOMPOSITION_IDEAL_CAP ideals (read
-        at call time) are rejected with CapExceeded."""
-        idx = self._require_ideal(I)
+        at call time) are rejected with CapExceeded. The answer is kept
+        beside I in the verified table, so a kept answer is returned
+        whatever the cap says later; an error is never kept. Each call
+        returns a new list."""
+        found = self._answer(I, "decomposition", self._primary_decomposition_i)
+        return None if found is None else list(found)
+
+    def _primary_decomposition_i(self, idx: frozenset):
         if idx == self._members_i:
             raise RingError("only proper ideals have primary decompositions")
         all_ideals = self.ideals()
@@ -490,5 +512,5 @@ class Subring:
                 for J in combo:
                     inter &= J
                 if inter == target:
-                    return list(combo)
+                    return combo
         return None

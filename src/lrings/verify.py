@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -170,11 +171,15 @@ class _Block(NamedTuple):
         """The pair instances, made one at a time: i <= j in survey order,
         with equal zero values."""
         _, mu, ideals, labels, zeros, singles = self
+        groups, place = {}, []  # positions by zero value; i's place there
+        for i, z in enumerate(zeros):
+            group = groups.setdefault(z, [])
+            place.append(len(group))
+            group.append(i)
         for i, z in enumerate(zeros):
             head, a = singles[i].label + "+", ideals[i]
-            for j in range(i, len(zeros)):
-                if zeros[j] == z:
-                    yield Instance(head + labels[j], mu, (a, ideals[j]))
+            for j in groups[z][place[i]:]:
+                yield Instance(head + labels[j], mu, (a, ideals[j]))
 
     def count_pairs(self) -> int:
         return sum(n * (n + 1) // 2 for n in Counter(self.zeros).values())
@@ -217,12 +222,19 @@ class InstancePool:
             start += n
 
     def subrings(self) -> list[Instance]:
-        """One whole-subring instance per L-subring with a kept instance."""
-        out = []
-        for inst in self:
-            if not out or out[-1].mu is not inst.mu:
-                out.append(Instance(inst.label.rsplit("/", 1)[0], inst.mu, ()))
-        return out
+        """One whole-subring instance per L-subring with a kept instance,
+        labelled by its block."""
+        kept, chosen, start = [], self._chosen, 0
+        for block, n in zip(self._blocks, self._counts):
+            if chosen is None:
+                if n:
+                    kept.append(block)
+            else:
+                k = bisect_left(chosen, start)
+                if k < len(chosen) and chosen[k] < start + n:
+                    kept.append(block)
+            start += n
+        return [Instance(b.label, b.mu, ()) for b in kept]
 
 
 def generate_instances(params: SuiteParams):
@@ -351,7 +363,8 @@ def _check_l1_4(inst, params):
 
 
 def _check_l1_10(inst, params):
-    # through the subring memo, so mu + mu is summed once per subring
+    # mu as an ideal is a survey entry, whose sum row keeps mu + mu, so it
+    # is summed once per subring
     eta = inst.ideals[0]
     if sum_ideals(eta, eta).ivalues != eta.ivalues:
         return "eta + eta != eta"
@@ -420,7 +433,7 @@ def _check_t2_12(inst, params):
     members = enumerate_family(eta, "semiprime")
     if not members:
         return None
-    # the meet of the whole family is S(eta), kept in the subring memo
+    # the meet of the whole family is S(eta), kept on eta
     if is_semiprime(semiprime_radical(eta)):
         # each pair is met once per subring, in the subring memo too
         bad = subring_memo(inst.mu, ("T2.12 pairs",), _non_semiprime_meets,
@@ -754,20 +767,25 @@ def check_theorem(ident: str, inst: Instance,
                          + ", ".join(THEOREM_IDS))
     params = params or SuiteParams()
     spec = _BY_ID[ident]
-    needed = 2 if spec.scope == "pair" else 1
+    needed = _IDEALS_NEEDED[spec.scope]
     if len(inst.ideals) < needed:
         raise ValueError(f"{ident} needs {needed} ideal(s) in the instance")
     if needed == 2 and (inst.ideals[0].zero_value()
                         != inst.ideals[1].zero_value()):
         raise ValueError(f"{ident} needs two ideals with equal zero values")
-    return _run_check(spec, inst, params)
+    return _run_check(spec, spec.gates if params.gate else (), inst, params)
 
 
-def _run_check(spec: TheoremSpec, inst: Instance,
+_IDEALS_NEEDED = {"one": 1, "pair": 2, "mu": 0}
+
+
+def _run_check(spec: TheoremSpec, gates: tuple, inst: Instance,
                params: SuiteParams) -> CheckRecord:
+    """One record: the gates given (spec.gates, or none when gating is
+    off) in order, then the checker."""
     # a gate asks the checkers' predicates, so its error is a record too
     try:
-        for gate in spec.gates if params.gate else ():
+        for gate in gates:
             reason = gate(inst)
             if reason:
                 return CheckRecord(spec.ident, inst.label, "SKIP", reason)
@@ -803,22 +821,25 @@ def run_suite(params: SuiteParams, ids=None, on_record=None) -> SuiteResult:
     pools = {"one": singles, "pair": pairs, "mu": singles.subrings()}
     reports = []
     for spec in specs:
-        rep = TheoremReport(spec.ident, spec.clause)
+        gates = spec.gates if params.gate else ()
+        passed = skipped = failed = 0
+        skip_reasons, failures = {}, []
         for inst in pools[spec.scope]:
-            rec = _run_check(spec, inst, params)
+            rec = _run_check(spec, gates, inst, params)
             if on_record is not None:
                 on_record(rec)
-            rep.checked += 1
-            if rec.status == "PASS":
-                rep.passed += 1
-            elif rec.status == "SKIP":
-                rep.skipped += 1
-                rep.skip_reasons[rec.detail] = \
-                    rep.skip_reasons.get(rec.detail, 0) + 1
+            status = rec.status
+            if status == "PASS":
+                passed += 1
+            elif status == "SKIP":
+                skipped += 1
+                skip_reasons[rec.detail] = skip_reasons.get(rec.detail, 0) + 1
             else:
-                rep.failed += 1
-                rep.failures.append((inst.label, rec.detail))
-        reports.append(rep)
+                failed += 1
+                failures.append((inst.label, rec.detail))
+        reports.append(TheoremReport(
+            spec.ident, spec.clause, passed + skipped + failed, passed,
+            failed, skipped, failures, skip_reasons))
     return SuiteResult(params, reports)
 
 
@@ -857,23 +878,38 @@ class JsonReport:
     puts the records before the summary. The params and the summary are
     small and go through json.dumps; each record is formatted here with
     the string escaper json.dumps itself uses, so neither the document nor
-    its text is ever built whole."""
+    its text is ever built whole. Records reach `write` in batches of
+    `BATCH`, the last one at `close`."""
+
+    BATCH = 256
 
     def __init__(self, write, params: SuiteParams):
         self._write = write
+        self._pending = []
         self._records = 0
+        self._tails = _RecordTails()
         write("{\n" + _member("params", params.as_dict()) + ",\n")
 
     def record(self, r: CheckRecord) -> None:
-        esc = encode_basestring_ascii
-        sep = ",\n" if self._records else ' "records": [\n'
-        self._records += 1
-        self._write(f'{sep}  {{\n   "detail": {esc(r.detail)},\n'
-                    f'   "instance": {esc(r.instance)},\n'
-                    f'   "status": {esc(r.status)},\n'
-                    f'   "theorem": {esc(r.theorem)}\n  }}')
+        pending = self._pending
+        pending.append(r)
+        if len(pending) >= self.BATCH:
+            self._flush()
+
+    def _flush(self) -> None:
+        pending, esc, tails = self._pending, encode_basestring_ascii, self._tails
+        if not pending:
+            return
+        head = ",\n" if self._records else ' "records": [\n'
+        self._records += len(pending)
+        self._write(head + ",\n".join([
+            f'  {{\n   "detail": {esc(detail) if detail else _EMPTY},\n'
+            f'   "instance": {esc(instance)},\n{tails[theorem, status]}'
+            for theorem, instance, status, detail in pending]))
+        pending.clear()
 
     def close(self, result: SuiteResult) -> None:
+        self._flush()
         summary = [{"theorem": r.theorem, "clause": r.clause,
                     "checked": r.checked, "passed": r.passed,
                     "skipped": r.skipped, "failed": r.failed,
@@ -883,3 +919,18 @@ class JsonReport:
                    for r in result.reports]
         self._write(("\n ],\n" if self._records else ' "records": [],\n')
                     + _member("summary", summary) + "\n}\n")
+
+
+_EMPTY = encode_basestring_ascii("")
+
+
+class _RecordTails(dict):
+    """The last lines of a record, by (theorem, status), each formatted on
+    first use: a status is a constant that needs no escaping, and a
+    theorem id is escaped once per status."""
+
+    def __missing__(self, key):
+        theorem, status = key
+        out = self[key] = (f'   "status": "{status}",\n   "theorem": '
+                           f'{encode_basestring_ascii(theorem)}\n  }}')
+        return out

@@ -142,26 +142,37 @@ def test_equal_cuts_share_one_subring_and_one_set(z4_ring, chain3):
     assert strong_cut(nu, "b") is level_cut(mu, "t")
 
 
-def test_cut_tables_live_in_the_survey_memo(z4_ring, chain3):
-    # the survey build reads mu's own cuts, so only that table is kept
+def test_cut_tables_live_in_the_survey_memo(z4_ring, chain3, monkeypatch):
+    # each surveyed ideal keeps the cut table its validation built, and mu
+    # keeps its own: the survey build and every later cut read them
+    core = importlib.import_module("lrings.core")
+    built = []
+    cuts_of = core._cuts_of
+    monkeypatch.setattr(core, "_cuts_of",
+                        lambda f: built.append(f) or cuts_of(f))
     mu = LSubring.constant_top(z4_ring, chain3)
     survey = ideal_survey(mu)
-    assert ("cuts", mu.ivalues) in mu._memo
+    assert built == [mu, *survey.ideals] and mu._memo is None
     for eta in survey.ideals:
-        key = ("cuts", eta.ivalues)
-        assert (key not in mu._memo) == (eta.ivalues != mu.ivalues)
+        table = eta._cuts
         cut = strong_cut(eta, "m")
-        levels, strongs = mu._memo[key]
+        assert eta._cuts is table
+        levels, strongs = table
         assert strongs[chain3.index("m")] is cut
         assert levels == tuple(level_cut(eta, a) for a in chain3.elements)
         assert levels == tuple(
             frozenset(x for x in z4_ring.elements if chain3.leq(a, eta.value(x)))
             for a in chain3.elements)
+    # the whole subring as an ideal holds mu's very cut sets
+    top = survey.ideals[survey.index[mu.ivalues]]
+    for mine, its in zip(top._cuts, mu._cuts):
+        assert all(a is b for a, b in zip(mine, its))
+    assert built == [mu, *survey.ideals]
 
 
 def test_cut_tables_are_kept_before_any_survey(z4_ring, chain3, monkeypatch):
-    # every level and strong cut of an ideal of an unsurveyed subring reads
-    # one table, built on the first request
+    # validating an ideal of an unsurveyed subring builds its cut table,
+    # and every level and strong cut of it reads that table
     core = importlib.import_module("lrings.core")
     built = []
     cuts_of = core._cuts_of
@@ -169,13 +180,13 @@ def test_cut_tables_are_kept_before_any_survey(z4_ring, chain3, monkeypatch):
                         lambda f: built.append(f) or cuts_of(f))
     mu = LSubring.constant_top(z4_ring, chain3)
     eta = LIdeal(mu, ["t", "m", "t", "m"])
-    built.clear()  # validating eta builds its table without keeping it
+    assert built == [eta, mu] and eta._cuts is not None
     for a in chain3.elements:
         assert level_cut(eta, a) == frozenset(
             x for x in z4_ring.elements if chain3.leq(a, eta.value(x)))
         strong_cut(eta, a)
-    assert built == [eta]
-    assert mu._survey is None and ("cuts", eta.ivalues) in mu._memo
+    assert built == [eta, mu]
+    assert mu._survey is None and mu._memo is None
 
 
 def test_derived_ideals_are_validated_once_before_any_survey(monkeypatch):
@@ -273,14 +284,14 @@ def test_sum_requires_matching_zero_values(z4_setup):
     with pytest.raises(ValidationError, match="zero"):
         sum_ideals(eta, low)
     # surveyed ideals are refused too, in either order and on every
-    # request: a refusal is never kept in the sum rows
+    # request: a refusal is never kept in the sum row of either
     mu = LSubring(eta.ring, eta.lattice, z4_setup.mu.values)
     survey = ideal_survey(mu)
     a, b = (survey.ideals[survey.index[f.ivalues]] for f in (eta, low))
     for x, y in ((a, b), (b, a), (a, b)):
         with pytest.raises(ValidationError, match="values at zero differ"):
             sum_ideals(x, y)
-    assert not mu._memo.get(("sum", min(a._pos, b._pos)))
+    assert not a._sums and not b._sums
 
 
 def test_sum_commutative_associative(z6_setup):

@@ -24,13 +24,14 @@ against each other: a depth-first search by the pointwise inequalities and
 the level-cut survey. The reference for that verdict is the old sweep of
 the whole box below mu, judging every candidate by both characterizations.
 
-Each L-subring's memo keeps each ideal's prime, semiprime and pointwise
-radical, the predicates' verdicts, sums and meets of its ideals, and each
-surveyed ideal's row of the ideals above it; the ideal survey lets LIdeal
+Each ideal keeps its prime, semiprime and pointwise radical, the
+predicates' verdicts and its row of the ideals above it, and each surveyed
+ideal its sums and meets with later ones; the ideal survey lets LIdeal
 skip validation for values it already lists. The references for those
 are the meets of the box-sweep ideals of each kind above an ideal, the
-pointwise radical, sum and meet formulas, the pointwise containment test,
-a direct evaluation of each predicate on an empty memo, and full
+pointwise radical, sum and meet formulas, the pointwise containment test
+and the filtered family walk (against the up-mask rows and the family
+masks), a direct evaluation of each predicate on cleared slots, and full
 validation of every other candidate in the box. The predicate, radical
 and sum kernels read table rows; their references are the old forms that
 call the lattice's and ring's lookup methods pair by pair.
@@ -59,11 +60,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lrings import (FiniteLattice, FiniteRing, LIdeal, LSubring, Subring,
-                    ideal_survey, is_primary, is_prime, is_semiprime,
-                    make_lattice, make_ring, prime_radical, radical,
-                    semiprime_radical, sum_ideals)
-from lrings.core import (LSubset, ValidationError, ideal_inequality_search,
-                         intersect_many, level_cut_search,
+                    enumerate_family, ideal_survey, is_primary, is_prime,
+                    is_semiprime, make_lattice, make_ring, prime_radical,
+                    radical, semiprime_radical, sum_ideals)
+from lrings.core import (LSubset, ValidationError, cuts, ideal_inequality_search,
+                         ideals_above, intersect_many, level_cut_search,
                          level_cuts_all_ideals, satisfies_ideal_inequalities,
                          satisfies_subring_inequalities, sum_subsets)
 from lrings.errors import CapExceeded, ConsistencyError
@@ -233,7 +234,7 @@ def box_t1_7(mu):
 
 
 def t1_7_record(mu):
-    return check_theorem("T1.7", Instance("mu", mu, (ideal_survey(mu).ideals[0],)))
+    return check_theorem("T1.7", Instance("mu", mu, ()))
 
 
 def assert_t1_7_matches_box(mu):
@@ -409,7 +410,7 @@ def test_one_value_changes_reach_non_ideals():
     assert verdicts[False] > verdicts[True] > 0
 
 
-# -- the subring memo and the survey for radicals and validation -------------
+# -- kept facts and the survey for radicals and validation --------------------
 
 def box_meet(mu, ideals, lower):
     """Pointwise meet of the ideals (value tuples) that contain lower; mu
@@ -532,7 +533,7 @@ def assert_survey_memo_matches_box(ring, lat):
         assert mu._survey is None
         primes = [e.ivalues for e in etas if is_prime(e)]
         semiprimes = [e.ivalues for e in etas if is_semiprime(e)]
-        for _ in range(2):  # the second round reads the memo
+        for _ in range(2):  # the second round reads what each eta keeps
             for eta in etas:
                 assert prime_radical(eta).ivalues == \
                     box_meet(mu, primes, eta.ivalues), (mu, eta)
@@ -549,16 +550,17 @@ def assert_survey_memo_matches_box(ring, lat):
                 with pytest.raises(ValidationError):
                     LIdeal(mu, c)
 
-        # radicals and sums asked twice (the second read from the memo), and
-        # the predicates' memoized verdicts against a direct evaluation
+        # radicals and sums asked twice (the second read from what is kept),
+        # and the predicates' kept verdicts against a direct evaluation
         survey = mu._survey
         for eta in etas:
             expected = pointwise_radical(mu, eta)
             assert [radical(eta).ivalues for _ in range(2)] == [expected] * 2
+            assert eta._rad.ivalues == expected
             flags = [f(eta) for f in PREDICATES]
-            memo, mu._memo = mu._memo, None
+            assert [eta._prime, eta._semiprime, eta._primary] == flags
+            eta._prime = eta._semiprime = eta._primary = None
             assert [f(eta) for f in PREDICATES] == flags, (mu, eta)
-            mu._memo = memo
         sums = {}  # by the operands' values, in either order
         for a, b in itertools.combinations_with_replacement(etas, 2):
             if a.zero_value() != b.zero_value():
@@ -575,13 +577,15 @@ def assert_survey_memo_matches_box(ring, lat):
                     with pytest.raises(ValidationError, match="not an ideal"):
                         sum_ideals(a, b)
 
-        # P and S agree on every carrier here, so the memo's split by kind
-        # shows only on a memo that holds no semiprime ideal: the family
-        # meet is mu, which the check against the radical rejects unless
-        # rad eta is mu too
-        memo = mu._memo
-        mu._memo = {("is_semiprime", v.ivalues): False for v in survey.ideals}
+        # P and S agree on every carrier here, so their split by kind shows
+        # only on a semiprime mask that holds no ideal: the family meet is
+        # mu, which the check against the radical rejects unless rad eta is
+        # mu too, while P still reads the prime mask
+        key = ("family", "semiprime")
+        kept = mu._memo[key]
+        mu._memo[key] = 0
         for eta in etas:
+            eta._prad = eta._srad = None
             assert prime_radical(eta).ivalues == box_meet(mu, primes, eta.ivalues)
             if pointwise_radical(mu, eta) == mu.ivalues:
                 assert semiprime_radical(eta).ivalues == mu.ivalues
@@ -589,7 +593,9 @@ def assert_survey_memo_matches_box(ring, lat):
                 with pytest.raises(ConsistencyError,
                                    match="differs from the radical"):
                     semiprime_radical(eta)
-        mu._memo = memo
+                assert eta._srad is None
+            eta._srad = None
+        mu._memo[key] = kept
 
         # positions: each surveyed ideal knows its place, and order
         # questions by position agree with the pointwise comparison, also
@@ -607,20 +613,20 @@ def assert_survey_memo_matches_box(ring, lat):
         for a, b in itertools.combinations_with_replacement(survey.ideals, 2):
             ab = survey.ideals[survey.index[tuple(
                 meet[x][y] for x, y in zip(a.ivalues, b.ivalues))]]
-            # the second read, in the other order, comes from the memo
+            # the second read, in the other order, comes from a's meet row
             assert intersect_many([a, b]) is ab is intersect_many([b, a])
-            assert mu._memo[("meet", a._pos)][b._pos] is ab
+            assert a._meets[b._pos] is ab
             # sums are kept in rows too, and a failure is never kept
             total = sums.get((a.ivalues, b.ivalues))  # None: zeros differ
             if total in ideals:
                 ab = survey.ideals[survey.index[total]]
                 assert sum_ideals(b, a) is ab is sum_ideals(a, b)
-                assert mu._memo[("sum", a._pos)][b._pos] is ab
+                assert a._sums[b._pos] is ab
             elif total is not None:
                 for x, y in ((a, b), (b, a)):
                     with pytest.raises(ValidationError, match="not an ideal"):
                         sum_ideals(x, y)
-                assert b._pos not in mu._memo[("sum", a._pos)]
+                assert b._pos not in a._sums
 
         # the table-row kernels against their per-call forms
         for eta in survey.ideals:
@@ -650,6 +656,97 @@ def test_survey_memo_matches_box(ring, lat_name):
 def test_survey_memo_matches_box_on_drawn_lattices(lat, ring):
     assume(len(lat) ** len(ring) <= MAX_BOX)
     assert_survey_memo_matches_box(ring, lat)
+
+
+# -- containment rows and families against the pointwise forms ---------------
+
+def oracle_above(eta):
+    """The row of eta by pointwise comparison with every surveyed ideal."""
+    return sum(1 << l for l, v in enumerate(eta.parent._survey.ideals)
+               if LSubset.contains(v, eta))
+
+
+def oracle_family(eta, kind):
+    """The family walk: every surveyed ideal above eta, in survey order,
+    filtered by a direct evaluation of the predicate."""
+    member = _is_prime if kind == "prime" else _is_semiprime
+    row = oracle_above(eta)
+    return tuple(v for l, v in enumerate(eta.parent._survey.ideals)
+                 if row >> l & 1 and member(v))
+
+
+MASK_CARRIERS = [("Z6", "chain4"), ("Z2xZ2", "m3"), ("Z4", "square")]
+
+
+@pytest.mark.parametrize("spec, lat_name", MASK_CARRIERS)
+def test_up_mask_rows_and_mask_families_match_pointwise_forms(spec, lat_name):
+    ring, lat = make_ring(spec), make_lattice(lat_name)
+    meet = lat._meet
+    seen = Counter()
+    for mu in _enumerate_mus(ring, lat, ALL_MUS):
+        ideals = ideal_survey(mu).ideals
+        for eta in ideals:
+            assert ideals_above(eta) == oracle_above(eta), eta
+            for kind in ("prime", "semiprime"):
+                family = enumerate_family(eta, kind)
+                assert family == oracle_family(eta, kind)
+                seen[kind] += bool(family)
+        # an ideal built by the constructor keeps its own row
+        for eta in ideals:
+            twin = LIdeal(mu, eta.values)
+            assert twin._pos is None
+            assert ideals_above(twin) == oracle_above(eta)
+            assert [v.contains(twin) for v in ideals] == \
+                [LSubset.contains(v, eta) for v in ideals]
+        # the meet of two entries, read off their rows when nested
+        for a, b in itertools.product(ideals, repeat=2):
+            ab = tuple(meet[x][y] for x, y in zip(a.ivalues, b.ivalues))
+            assert intersect_many([a, b]).ivalues == ab
+            seen["nested" if ab in (a.ivalues, b.ivalues) else "crossing"] += 1
+    assert min(seen[k] for k in ("prime", "semiprime", "nested",
+                                 "crossing")) > 0, seen
+
+
+FACT_SLOTS = ("_cuts", "_rad", "_prad", "_srad", "_prime", "_semiprime",
+              "_primary", "_above", "_sums", "_meets")
+
+
+def facts(mu):
+    """Every fact the ideals of mu's survey answer, as values."""
+    ideals = ideal_survey(mu).ideals
+    out = []
+    for a in ideals:
+        out.append((cuts(a), cuts(a, strong=True), ideals_above(a),
+                     radical(a).ivalues, prime_radical(a).ivalues,
+                     semiprime_radical(a).ivalues,
+                     [f(a) for f in PREDICATES],
+                     [intersect_many([a, b]).ivalues for b in ideals]))
+        for b in ideals:
+            if a.zero_value() == b.zero_value():
+                try:
+                    out.append(sum_ideals(a, b).ivalues)
+                except ValidationError as e:
+                    out.append(str(e))
+    return out
+
+
+@pytest.mark.parametrize("spec, lat_name", [("Z6", "chain3"), ("Z4", "m3"),
+                                            ("Z2xZ2", "square")])
+def test_cleared_facts_come_back_the_same(spec, lat_name):
+    # what an entry keeps is only ever a result: with every kept fact of
+    # every entry and the subring's masks cleared, each is asked again and
+    # comes back equal
+    ring, lat = make_ring(spec), make_lattice(lat_name)
+    for mu in _enumerate_mus(ring, lat, ALL_MUS):
+        first = facts(mu)
+        kept = [getattr(v, slot) for v in mu._survey.ideals
+                for slot in FACT_SLOTS]
+        assert all(x is not None for x in kept[1::len(FACT_SLOTS)])  # _rad
+        for v in mu._survey.ideals:
+            for slot in FACT_SLOTS:
+                setattr(v, slot, None)
+        mu._memo = None
+        assert facts(mu) == first
 
 
 @pytest.mark.parametrize("lat_name", ["chain3", "m3"])

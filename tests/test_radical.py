@@ -170,9 +170,9 @@ def test_cached_survey_is_never_refused():
 
 
 def test_survey_build_classifies_nothing(monkeypatch):
-    # the predicates answer through the subring memo on first request, so a
-    # build decides no ideal's primality (it keeps only the cut tables it
-    # reads) and a repeat asks nothing again
+    # the predicates answer on first request and keep the verdict on the
+    # ideal, so a build decides no ideal's primality (it keeps only the cut
+    # tables it reads, on each ideal) and a repeat asks nothing again
     radical_mod = importlib.import_module("lrings.radical")
     calls = []
     by_def = radical_mod.primary_by_inequalities
@@ -180,10 +180,12 @@ def test_survey_build_classifies_nothing(monkeypatch):
                         lambda eta: calls.append(eta) or by_def(eta))
     fx = fixtures.z4_chain3()
     survey = ideal_survey(fx.mu)
-    assert calls == [] and {k[0] for k in fx.mu._memo} == {"cuts"}
+    assert calls == [] and fx.mu._memo is None
+    assert all((v._prime, v._semiprime, v._primary) == (None,) * 3
+               and v._cuts is not None for v in survey.ideals)
     eta = survey.ideals[1]
     assert [is_primary(eta), is_primary(eta)] == [True, True]
-    assert calls == [eta]
+    assert calls == [eta] and eta._primary is True
 
 
 def test_survey_canonical_order(z4_setup):
@@ -236,7 +238,7 @@ def test_radicals_nest(z4_setup, z6_setup):
 
 def n5_witness():
     # N5: 0 < a < b < 1 and 0 < c < 1, over Z2xZ2, listed as (0,0), (0,1),
-    # (1,0), (1,1); a fresh subring each call, so its memo is empty
+    # (1,0), (1,1); a fresh subring each call, so nothing is kept yet
     n5 = make_lattice({"elements": ["0", "a", "b", "c", "1"],
                        "leq": [["0", "a"], ["a", "b"], ["b", "1"],
                                ["0", "c"], ["c", "1"]]})
@@ -264,7 +266,7 @@ def test_semiprime_radical_is_checked_against_the_radical(monkeypatch):
         with pytest.raises(ConsistencyError,
                            match="semiprime radical differs from the radical"):
             semiprime_radical(eta)
-    assert ("semiprime", eta.ivalues) not in mu._memo
+    assert eta._srad is None
     assert prime_radical(eta).values == ("1", "0", "b", "c")
 
 

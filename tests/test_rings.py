@@ -36,6 +36,39 @@ def test_product_ring():
     assert r.mul("(1,2)", "(1,2)") == "(1,1)"
 
 
+def label_product(a, b):
+    """The product ring from label tables, as the public constructor takes
+    them: the reference for the index tables FiniteRing.product builds."""
+    pairs = [(x, y) for x in a.elements for y in b.elements]
+    label = {p: f"({p[0]},{p[1]})" for p in pairs}
+    add = [[label[a.add(p[0], q[0]), b.add(p[1], q[1])] for q in pairs]
+           for p in pairs]
+    mul = [[label[a.mul(p[0], q[0]), b.mul(p[1], q[1])] for q in pairs]
+           for p in pairs]
+    return FiniteRing([label[p] for p in pairs], add, mul,
+                      name=f"{a.name}x{b.name}")
+
+
+def same_ring(r, s):
+    return ((r.name, r.elements, r._add, r._mul, r._sub, r._zero, r._neg)
+            == (s.name, s.elements, s._add, s._mul, s._sub, s._zero, s._neg))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 24])
+def test_zn_index_tables_match_label_tables(n):
+    els = [str(i) for i in range(n)]
+    add = [[str((i + j) % n) for j in range(n)] for i in range(n)]
+    mul = [[str(i * j % n) for j in range(n)] for i in range(n)]
+    assert same_ring(FiniteRing.zn(n), FiniteRing(els, add, mul, name=f"Z{n}"))
+
+
+@pytest.mark.parametrize("factors", [("Z2", "Z2"), ("Z2", "Z3"), ("Z1", "Z3"),
+                                     ("Z2xZ2", "Z2"), ("Z3", "Z2xZ2")])
+def test_product_index_tables_match_label_tables(factors):
+    a, b = map(make_ring, factors)
+    assert same_ring(FiniteRing.product(a, b), label_product(a, b))
+
+
 def test_make_ring_dict_specs():
     assert len(make_ring({"zn": 5})) == 5
     assert len(make_ring({"product": ["Z2", {"zn": 2}]})) == 4
@@ -337,6 +370,49 @@ def test_decomposition_cap(monkeypatch):
     monkeypatch.setattr("lrings.rings.DECOMPOSITION_IDEAL_CAP", 3)
     with pytest.raises(CapExceeded):
         z12.primary_decomposition({"0"})
+
+
+def test_decomposition_is_kept_beside_the_ideal(monkeypatch):
+    # the search runs once per ideal; each call gets a new list, and a kept
+    # answer is returned whatever the cap says later
+    _, z12 = ideals_of("Z12")
+    searched = []
+    search = z12._primary_decomposition_i
+    monkeypatch.setattr(z12, "_primary_decomposition_i",
+                        lambda idx: searched.append(idx) or search(idx))
+    first = z12.primary_decomposition({"0"})
+    first.clear()
+    monkeypatch.setattr("lrings.rings.DECOMPOSITION_IDEAL_CAP", 3)
+    assert z12.primary_decomposition({"0"}) == [
+        frozenset({"0", "4", "8"}), frozenset({"0", "3", "6", "9"})]
+    assert searched == [frozenset({0})]
+    answers = z12._closures(True)[frozenset({"0"})]
+    assert answers["decomposition"] == (frozenset({"0", "4", "8"}),
+                                        frozenset({"0", "3", "6", "9"}))
+
+
+def test_decomposition_errors_are_never_kept(monkeypatch):
+    _, z12 = ideals_of("Z12")
+    monkeypatch.setattr("lrings.rings.DECOMPOSITION_IDEAL_CAP", 3)
+    for _ in range(2):
+        with pytest.raises(CapExceeded):
+            z12.primary_decomposition({"0", "6"})
+        with pytest.raises(RingError, match="proper"):
+            z12.primary_decomposition(z12.member_set)
+    for I in ({"0", "6"}, z12.member_set):
+        assert "decomposition" not in z12._closures(True)[frozenset(I)]
+    monkeypatch.undo()
+    assert len(z12.primary_decomposition({"0", "6"})) == 2
+
+
+def test_no_decomposition_is_an_answer_too(monkeypatch):
+    # None (no subset of primaries meets to I) is kept like a list
+    _, z4 = ideals_of("Z4")
+    searched = []
+    monkeypatch.setattr(z4, "_primary_decomposition_i",
+                        lambda idx: searched.append(idx))
+    assert [z4.primary_decomposition({"0"}) for _ in range(2)] == [None, None]
+    assert searched == [frozenset({0})]
 
 
 # -- power orbits -------------------------------------------------------------

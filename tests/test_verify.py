@@ -119,6 +119,43 @@ def test_check_theorem_rejects_pair_with_different_zero_values(z4_setup):
             check_theorem(ident, inst)
 
 
+@pytest.mark.parametrize("ident", ["T1.7", "L1.4"])
+def test_check_theorem_takes_the_whole_subring_shape(ident, z4_setup):
+    # a theorem about the whole subring needs no ideal, as run_suite runs it
+    inst = Instance("z4/mu=top", z4_setup.mu, ())
+    assert check_theorem(ident, inst) == CheckRecord(ident, inst.label, "PASS")
+    for one in ("T2.4", "L3.4"):
+        with pytest.raises(ValueError, match="needs 1 ideal"):
+            check_theorem(one, inst)
+
+
+def test_whole_subring_labels_keep_a_slash_in_a_lattice_element():
+    # the label is the block's, not the first ideal's cut at its last "/"
+    records = []
+    lat = {"elements": ["x/y", "t"], "leq": [["x/y", "t"]]}
+    run_suite(params(rings=("Z2",), lattices=(lat,)), ids=["T1.7", "T2.4"],
+              on_record=records.append)
+    assert records[0] == CheckRecord("T1.7", "Z2/lattice/mu=top", "PASS")
+    assert records[1].instance == "Z2/lattice/mu=top/eta[x/y,x/y]"
+
+
+def test_whole_subring_instances_under_sampling():
+    # sampled, one whole-subring instance per L-subring with a kept single,
+    # in order; many seeds, so a block whose first single is the only one
+    # kept, right after a block with none, is met too
+    for seed in range(30):
+        p = params(lattices=("chain3",), mu_mode="all", sample=4, seed=seed)
+        singles, _ = generate_instances(p)
+        kept = []
+        for inst in singles:
+            if not kept or kept[-1].mu is not inst.mu:
+                kept.append(inst)
+        got = singles.subrings()
+        assert [i.mu for i in got] == [i.mu for i in kept], seed
+        assert [i.label for i in got] == [
+            i.label.rsplit("/", 1)[0] for i in kept]
+
+
 def test_t3_16_passes_where_factors_drop(z12_setup, monkeypatch):
     # at level m the factors lifted from the top cut fill the subring's cut,
     # so the reducedness transfer is asked for at t only
@@ -313,6 +350,22 @@ def test_render_json_escapes_as_json_dumps_does():
 def test_render_json_matches_the_document_on_golden_runs(kw, theorems):
     assert_json_matches_the_document(*run_with_report(SuiteParams(**kw),
                                                       ids=theorems))
+
+
+def test_records_reach_the_writer_in_batches():
+    # more records than one batch: the pieces still join to the document,
+    # and the records take one write per batch
+    result, text, records = run_with_report(params(lattices=("chain3",)))
+    assert len(records) > JsonReport.BATCH
+    pieces = []
+    report = JsonReport(pieces.append, result.params)
+    for rec in records:
+        report.record(rec)
+    report.close(result)
+    assert "".join(pieces) == text
+    batches = -(-len(records) // JsonReport.BATCH)
+    assert len(pieces) == 1 + batches + 1  # params, batches, summary
+    assert_json_matches_the_document(result, text, records)
 
 
 def test_reports_are_deterministic():
