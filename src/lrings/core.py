@@ -25,10 +25,9 @@ first request and never holding a failure:
   own or a later survey position, each row a dict from that position to
   the result, so a pair is one entry in the row of its smaller position;
 - the L-subring keeps, in `subring_memo`, what is about the whole subring:
-  the up-masks behind the rows above, the prime and semiprime family masks
-  (`radical.enumerate_family`), the decompositions and the T2.12 pairs
-  that `verify` asks for, and, before its survey is built, the ideals
-  `LIdeal._of` validated.
+  the up-masks behind the rows above, the decompositions and the T2.12
+  pairs that `verify` asks for, and, before its survey is built, the
+  ideals `LIdeal._of` validated.
 An ideal that is not a survey entry keeps its own facts in the same slots;
 a sum or meet of two such ideals is computed on every request.
 
@@ -236,7 +235,10 @@ def ideal_inequality_search(mu: "LSubring", cap: int) -> list[tuple[int, ...]]:
                             for mi, mj, i, j, k in prods[t])):
                 extend(t + 1)
 
-    extend(0)
+    try:
+        extend(0)
+    finally:
+        del extend  # a cycle through its own cell; free the tables now
     return found
 
 
@@ -481,7 +483,10 @@ def level_cut_search(ring: FiniteRing, lattice: FiniteLattice, allowed,
             cuts[a] = cut
             extend(k + 1)
 
-    extend(0)
+    try:
+        extend(0)
+    finally:
+        del extend  # a cycle through its own cell; free the tables now
     rank = lattice._rank
     found.sort(key=lambda v: tuple(rank[i] for i in v))
     return found
@@ -496,11 +501,10 @@ def subring_memo(mu: LSubset, key, compute, *args):
     so it is raised again on every request. The memo holds what is about
     the whole subring; each ideal keeps its own facts (see LIdeal). Its
     keys: the up-masks of the built survey ("up",) (see `ideals_above`);
-    the bitmasks of its prime and semiprime ideals ("family", kind) (see
-    `radical.enumerate_family`); the decompositions `verify` asks for
-    ("dec", v); once per subring, the position pairs of semiprime ideals
-    whose meet is not semiprime ("T2.12 pairs",); and the ideals
-    `LIdeal._of` validated before the survey was built ("ideal", v)."""
+    the decompositions `verify` asks for ("dec", v); once per subring, the
+    position pairs of semiprime ideals whose meet is not semiprime
+    ("T2.12 pairs",); and the ideals `LIdeal._of` validated before the
+    survey was built ("ideal", v)."""
     memo = mu._memo
     if memo is None:
         memo = mu._memo = {}
@@ -572,19 +576,30 @@ def sum_ideals(a: LIdeal, b: LIdeal) -> LIdeal:
     position; sums commute. The inputs are checked only when a sum is
     computed, and a failure is never kept. Any other sum is computed on
     every request."""
+    kept = _pair_row(a, b, "_sums")
+    if kept is None:
+        return _sum_ideals(a, b)
+    row, key = kept
+    out = row.get(key)
+    if out is None:
+        out = row[key] = _sum_ideals(a, b)
+    return out
+
+
+def _pair_row(a: LIdeal, b: LIdeal, slot: str):
+    """The row `slot` ("_sums" or "_meets") of whichever of a and b has the
+    smaller survey position, made empty on first use, and the other one's
+    position: where a sum or meet of the pair is kept. None unless a and b
+    are entries of one built survey."""
     k, l = a._pos, b._pos
     if k is None or l is None or a.parent is not b.parent:
-        return _sum_ideals(a, b)
+        return None
     holder, key = (a, l) if k <= l else (b, k)
-    row = holder._sums
+    row = getattr(holder, slot)
     if row is None:
-        row = holder._sums = {}
-    try:
-        return row[key]
-    except KeyError:
-        pass
-    out = row[key] = _sum_ideals(a, b)
-    return out
+        row = {}
+        setattr(holder, slot, row)
+    return row, key
 
 
 def _require_summable(a: LIdeal, b: LIdeal) -> None:
@@ -628,29 +643,15 @@ def intersect_many(fs: Sequence[LIdeal]) -> LIdeal:
     as an ideal of the first one's parent; a meet of ideals is always an
     ideal, so one that fails to validate raises ConsistencyError. The meet
     of two entries of one built survey is kept in the meet row (`_meets`)
-    of the one at the smaller position, under the other position; when
-    their rows above show that one contains the other, it is the other."""
-    if len(fs) == 2:
-        a, b = fs
-        k, l = a._pos, b._pos
-        if k is not None and l is not None and a.parent is b.parent:
-            holder, key = (a, l) if k <= l else (b, k)
-            row = holder._meets
-            if row is None:
-                row = holder._meets = {}
-            try:
-                return row[key]
-            except KeyError:
-                pass
-            if ideals_above(a) >> l & 1:
-                out = a
-            elif ideals_above(b) >> k & 1:
-                out = b
-            else:
-                out = _intersect(fs)
-            row[key] = out
-            return out
-    return _intersect(fs)
+    of the one at the smaller position, under the other position."""
+    kept = _pair_row(*fs, "_meets") if len(fs) == 2 else None
+    if kept is None:
+        return _intersect(fs)
+    row, key = kept
+    out = row.get(key)
+    if out is None:
+        out = row[key] = _intersect(fs)
+    return out
 
 
 def _intersect(fs: Sequence[LIdeal]) -> LIdeal:

@@ -16,18 +16,16 @@ their values along the lattice's fixed linear extension), is cached on the
 subring, and answers every family and radical query. Its index of values
 lets LIdeal reuse the verdict both ideal characterizations gave when the
 survey was built. The survey stamps each ideal with its position (`_pos`;
-`mu._survey.ideals[eta._pos] is eta`). eta's family is the AND of its row
-of the ideals above it (`core.ideals_above`) with the subring's bitmask of
-prime or semiprime ideals, read in survey order.
+`mu._survey.ideals[eta._pos] is eta`). eta's family is read off its row
+of the ideals above it (`core.ideals_above`) in survey order, keeping the
+ideals whose own verdict of that kind is true, so only ideals above some
+asked-for eta are ever classified.
 
 Where each fact lives:
 - each predicate's verdict and each of the three radicals of an ideal, on
   the ideal itself (`_prime`, `_semiprime`, `_primary`, `_rad`, `_prad`,
   `_srad`; see core.LIdeal), filled on first request and read there
   inline after that;
-- the family masks, one bitmask per kind and subring, in the subring's
-  memo under ("family", kind) (`core.subring_memo`), built on the first
-  family request by asking the predicate of every surveyed ideal;
 - the survey itself on the subring (`mu._survey`).
 A failure is never kept: a primary disagreement or a family meet that
 fails its check raises again on every request.
@@ -50,7 +48,7 @@ from dataclasses import dataclass, field
 from .errors import ConsistencyError
 from .core import (LIdeal, LSubring, LSubset, ValidationError, cuts,
                    ideals_above, intersect_many, level_cut, level_cut_search,
-                   level_subring, subring_memo)
+                   level_subring)
 
 DEFAULT_CANDIDATE_CAP = 2_000_000
 
@@ -212,8 +210,8 @@ class IdealSurvey:
     `index` maps each ideal's values to its position; an LIdeal whose values
     are in it skips validation, since both characterizations already agreed
     on them. What is asked of the ideals later is kept on each ideal (see
-    core.LIdeal), and the survey's up-masks and family masks in the
-    subring's memo (`core.subring_memo`)."""
+    core.LIdeal), and the survey's up-masks in the subring's memo
+    (`core.subring_memo`)."""
     ideals: tuple[LIdeal, ...]
     index: dict = field(init=False, repr=False, compare=False)
 
@@ -248,27 +246,23 @@ def ideal_survey(mu: LSubring, cap: int = DEFAULT_CANDIDATE_CAP) -> IdealSurvey:
 def enumerate_family(eta: LIdeal, kind: str) -> tuple[LIdeal, ...]:
     """All prime/semiprime ideals of the parent subring containing eta, in
     canonical order: the ideals on eta's row of the parent's ideal survey
-    (`core.ideals_above`) that are on the subring's mask of that kind."""
+    (`core.ideals_above`) whose verdict of that kind is true."""
     if kind not in ("prime", "semiprime"):
         raise ValueError(f"kind must be 'prime' or 'semiprime', not {kind!r}")
     mu = eta.parent
     ideals = ideal_survey(mu).ideals
     if eta._pos is None:
         eta = LIdeal._of(mu, eta.ivalues)  # the survey's own object
-    hits = ideals_above(eta) & subring_memo(mu, ("family", kind),
-                                            _family_mask, mu, kind)
+    member = is_prime if kind == "prime" else is_semiprime
+    hits = ideals_above(eta)
     out = []
     while hits:
         low = hits & -hits
-        out.append(ideals[low.bit_length() - 1])
+        v = ideals[low.bit_length() - 1]
+        if member(v):
+            out.append(v)
         hits ^= low
     return tuple(out)
-
-
-def _family_mask(mu: LSubring, kind: str) -> int:
-    """The bitmask of the prime (semiprime) ideals of mu's built survey."""
-    member = is_prime if kind == "prime" else is_semiprime
-    return sum(1 << k for k, v in enumerate(mu._survey.ideals) if member(v))
 
 
 def _family_meet(eta: LIdeal, kind: str) -> LIdeal:

@@ -878,38 +878,24 @@ class JsonReport:
     puts the records before the summary. The params and the summary are
     small and go through json.dumps; each record is formatted here with
     the string escaper json.dumps itself uses, so neither the document nor
-    its text is ever built whole. Records reach `write` in batches of
-    `BATCH`, the last one at `close`."""
-
-    BATCH = 256
+    its text is ever built whole."""
 
     def __init__(self, write, params: SuiteParams):
         self._write = write
-        self._pending = []
-        self._records = 0
+        self._sep = ' "records": [\n'
         self._tails = _RecordTails()
         write("{\n" + _member("params", params.as_dict()) + ",\n")
 
     def record(self, r: CheckRecord) -> None:
-        pending = self._pending
-        pending.append(r)
-        if len(pending) >= self.BATCH:
-            self._flush()
-
-    def _flush(self) -> None:
-        pending, esc, tails = self._pending, encode_basestring_ascii, self._tails
-        if not pending:
-            return
-        head = ",\n" if self._records else ' "records": [\n'
-        self._records += len(pending)
-        self._write(head + ",\n".join([
-            f'  {{\n   "detail": {esc(detail) if detail else _EMPTY},\n'
-            f'   "instance": {esc(instance)},\n{tails[theorem, status]}'
-            for theorem, instance, status, detail in pending]))
-        pending.clear()
+        theorem, instance, status, detail = r
+        esc = encode_basestring_ascii
+        self._write(
+            f'{self._sep}  {{\n'
+            f'   "detail": {esc(detail) if detail else _EMPTY},\n'
+            f'   "instance": {esc(instance)},\n{self._tails[theorem, status]}')
+        self._sep = ",\n"
 
     def close(self, result: SuiteResult) -> None:
-        self._flush()
         summary = [{"theorem": r.theorem, "clause": r.clause,
                     "checked": r.checked, "passed": r.passed,
                     "skipped": r.skipped, "failed": r.failed,
@@ -917,7 +903,7 @@ class JsonReport:
                     "failures": [{"instance": l, "detail": d}
                                  for l, d in r.failures]}
                    for r in result.reports]
-        self._write(("\n ],\n" if self._records else ' "records": [],\n')
+        self._write(("\n ],\n" if self._sep == ",\n" else ' "records": [],\n')
                     + _member("summary", summary) + "\n}\n")
 
 

@@ -352,19 +352,17 @@ def test_render_json_matches_the_document_on_golden_runs(kw, theorems):
                                                       ids=theorems))
 
 
-def test_records_reach_the_writer_in_batches():
-    # more records than one batch: the pieces still join to the document,
-    # and the records take one write per batch
+def test_records_reach_the_writer_one_at_a_time():
+    # the pieces join to the document, one write per record
     result, text, records = run_with_report(params(lattices=("chain3",)))
-    assert len(records) > JsonReport.BATCH
     pieces = []
     report = JsonReport(pieces.append, result.params)
-    for rec in records:
+    for k, rec in enumerate(records, 1):
         report.record(rec)
+        assert len(pieces) == 1 + k  # params, then one piece per record
     report.close(result)
     assert "".join(pieces) == text
-    batches = -(-len(records) // JsonReport.BATCH)
-    assert len(pieces) == 1 + batches + 1  # params, batches, summary
+    assert len(pieces) == 1 + len(records) + 1  # params, records, summary
     assert_json_matches_the_document(result, text, records)
 
 
