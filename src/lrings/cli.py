@@ -41,7 +41,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_instance_file(path):
-    """Parse an instance file into (lattice, ring, mu, named subsets)."""
+    """Parse an instance file into (lattice, ring, mu, named subsets, the
+    name of the subset chosen as mu or None for the constant top)."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -65,7 +66,7 @@ def load_instance_file(path):
         mu = LSubring(ring, lat, subsets[mu_name].values)
     else:
         mu = LSubring.constant_top(ring, lat)
-    return lat, ring, mu, subsets
+    return lat, ring, mu, subsets, mu_name
 
 
 def _print_subset(f) -> str:
@@ -87,7 +88,7 @@ def _get_ideal(mu, subsets, name) -> LIdeal:
 # subcommands
 
 def cmd_validate(args) -> int:
-    lat, ring, mu, subsets = load_instance_file(args.file)
+    lat, ring, mu, subsets, mu_name = load_instance_file(args.file)
     c = lat.classify()
     print(f"lattice: {len(lat)} elements, "
           f"chain={'yes' if c['is_chain'] else 'no'}, "
@@ -96,7 +97,7 @@ def cmd_validate(args) -> int:
     print(f"mu: valid L-subring ({_print_subset(mu)})")
     status = 0
     for name, f in subsets.items():
-        if f.ivalues == mu.ivalues:
+        if name == mu_name:
             continue
         try:
             eta = LIdeal(mu, f.values)
@@ -111,7 +112,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compute(args) -> int:
-    lat, ring, mu, subsets = load_instance_file(args.file)
+    lat, ring, mu, subsets, _ = load_instance_file(args.file)
     target = args.target
     if target == "cut":
         if args.at is None:
@@ -140,14 +141,14 @@ def cmd_compute(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    lat, ring, mu, subsets = load_instance_file(args.file)
+    lat, ring, mu, subsets, _ = load_instance_file(args.file)
     eta = _get_ideal(mu, subsets, args.name)
+    ideal_survey(mu, cap=args.cap)  # decompose and its report read it
     dec = decompose(eta)
     print(f"factors ({len(dec.factors)}):")
     for i, f in enumerate(dec.factors):
         print(f"  {i}: {_print_subset(f)}")
     print("intersection equals the target: yes")
-    ideal_survey(mu, cap=args.cap)  # the report reads prime radicals
     report = dec.report
     print(f"reduced: {'yes' if report.reduced else 'no'}"
           + ("" if report.reduced else f" ({report.describe()})"))
@@ -169,6 +170,8 @@ def cmd_verify(args) -> int:
         raise _UsageError(f"--sample must not be negative, got {args.sample}")
     ids = (None if args.theorems is None
            else _name_list("--theorems", args.theorems))
+    if args.report == "":
+        raise _UsageError("--report: the path is empty")
     if args.report and not os.path.isdir(os.path.dirname(args.report) or "."):
         raise _UsageError(
             f"--report: the directory of {args.report!r} does not exist")
@@ -184,8 +187,8 @@ def cmd_verify(args) -> int:
         gate=not args.no_hypothesis_gate,
     )
     try:
-        result = (_run_to_report(params, ids, args.report) if args.report
-                  else verify_mod.run_suite(params, ids=ids))
+        result = (verify_mod.run_suite(params, ids=ids) if args.report is None
+                  else _run_to_report(params, ids, args.report))
     except ValueError as e:
         raise _UsageError(str(e)) from e
     sys.stdout.write(verify_mod.render_text(result))

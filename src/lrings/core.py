@@ -19,15 +19,15 @@ first request and never holding a failure:
   and every crisp question about a cut of mu read one table per ring and
   member set;
 - every LIdeal keeps its pointwise, prime and semiprime radicals, its
-  prime, semiprime and primary verdicts (`radical`) and its row of the
-  ideals above it in the built survey (`ideals_above`);
+  prime, semiprime and primary verdicts (`radical`), its primary
+  decomposition (`decomp.decompose`) and its row of the ideals above it in
+  the built survey (`ideals_above`);
 - a surveyed ideal also keeps its sums and meets with the ideals at its
   own or a later survey position, each row a dict from that position to
   the result, so a pair is one entry in the row of its smaller position;
-- the L-subring keeps, in `subring_memo`, what is about the whole subring:
-  the up-masks behind the rows above, the decompositions and the T2.12
-  pairs that `verify` asks for, and, before its survey is built, the
-  ideals `LIdeal._of` validated.
+- the L-subring keeps its ideal survey (`_survey`), which keeps what is
+  about all of its ideals: the up-masks behind the rows above and the
+  pairs T2.12 asks for (see `radical.IdealSurvey`).
 An ideal that is not a survey entry keeps its own facts in the same slots;
 a sum or meet of two such ideals is computed on every request.
 
@@ -37,8 +37,9 @@ validated in full, and an ideal missing from the survey raises
 ConsistencyError. Derived ideals (meets, sums, radicals, lifts) are built
 from their index values by `LIdeal._of`. It hands back the survey's own
 object for values the survey lists; only other values go through the
-constructor and its full validation, and before the survey is built each
-value set it accepts is kept in the memo, so it is validated once.
+constructor and its full validation. The family radicals and
+`decompose` build the survey before they derive anything, so what they
+derive is a survey entry.
 
 A surveyed ideal's position in its survey (`LIdeal._pos`, set only by
 `radical.ideal_survey`, with `mu._survey.ideals[eta._pos] is eta`) is its
@@ -62,7 +63,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping, Sequence
 from functools import reduce
-from operator import and_, getitem, or_
+from operator import and_, getitem
 
 from .errors import CapExceeded, ConsistencyError
 from .lattice import FiniteLattice
@@ -76,10 +77,10 @@ class ValidationError(ValueError):
 
 class LSubset:
     """Total map ring elements -> lattice elements, stored by index. `_cuts`
-    keeps its cut table (see `cuts`); `_survey` and `_memo` are filled only
-    on an L-subring."""
+    keeps its cut table (see `cuts`); `_survey` is filled only on an
+    L-subring."""
 
-    __slots__ = ("ring", "lattice", "ivalues", "_survey", "_memo", "_cuts")
+    __slots__ = ("ring", "lattice", "ivalues", "_survey", "_cuts")
 
     def __init__(self, ring: FiniteRing, lattice: FiniteLattice, values):
         self.ring = ring
@@ -101,7 +102,7 @@ class LSubset:
             raise ValidationError(f"values must be a mapping or a list, "
                                   f"not {values!r}")
         self.ivalues = tuple(lattice.index(v) for v in seq)
-        self._survey = self._memo = self._cuts = None
+        self._survey = self._cuts = None
 
     @classmethod
     def _make(cls, ring, lattice, ivalues: tuple[int, ...]) -> "LSubset":
@@ -109,7 +110,7 @@ class LSubset:
         obj.ring = ring
         obj.lattice = lattice
         obj.ivalues = tuple(ivalues)
-        obj._survey = obj._memo = obj._cuts = None
+        obj._survey = obj._cuts = None
         return obj
 
     def value(self, x: str) -> str:
@@ -299,17 +300,19 @@ class LIdeal(LSubset):
     keep what is asked again about the ideal, None until first asked: its
     pointwise, prime and semiprime radicals (`_rad`, `_prad`, `_srad`), its
     prime, semiprime and primary verdicts (`_prime`, `_semiprime`,
-    `_primary`), its row of the ideals above it (`_above`), and, for a
-    survey entry, its rows of sums and meets (`_sums`, `_meets`)."""
+    `_primary`), its primary decomposition (`_dec`), its row of the ideals
+    above it (`_above`), and, for a survey entry, its rows of sums and
+    meets (`_sums`, `_meets`)."""
 
     __slots__ = ("parent", "_pos", "_rad", "_prad", "_srad", "_prime",
-                 "_semiprime", "_primary", "_above", "_sums", "_meets")
+                 "_semiprime", "_primary", "_dec", "_above", "_sums",
+                 "_meets")
 
     def __init__(self, parent: LSubring, values):
         super().__init__(parent.ring, parent.lattice, values)
         self.parent = parent
         self._pos = self._rad = self._prad = self._srad = None
-        self._prime = self._semiprime = self._primary = None
+        self._prime = self._semiprime = self._primary = self._dec = None
         self._above = self._sums = self._meets = None
         survey = parent._survey
         if survey is not None and self.ivalues in survey.index:
@@ -330,14 +333,9 @@ class LIdeal(LSubset):
     def _of(cls, parent: LSubring, ivalues: tuple[int, ...]) -> "LIdeal":
         """The ideal of parent with these index values: the object of a
         built survey that lists them. Any other values go through the
-        constructor, which validates them in full; before the survey is
-        built, what it accepts is kept under ("ideal", values) in the
-        subring memo, so each value set is validated once."""
+        constructor, which validates them in full."""
         survey = parent._survey
-        if survey is None:
-            return subring_memo(parent, ("ideal", ivalues), cls._new, parent,
-                                ivalues)
-        k = survey.index.get(ivalues)
+        k = None if survey is None else survey.index.get(ivalues)
         return cls._new(parent, ivalues) if k is None else survey.ideals[k]
 
     @classmethod
@@ -495,52 +493,16 @@ def level_cut_search(ring: FiniteRing, lattice: FiniteLattice, allowed,
 # ---------------------------------------------------------------------------
 # sums and intersections
 
-def subring_memo(mu: LSubset, key, compute, *args):
-    """compute(*args), kept under key in mu's memo, which is made on first
-    use, whether or not mu's ideal survey is built; an error is never kept,
-    so it is raised again on every request. The memo holds what is about
-    the whole subring; each ideal keeps its own facts (see LIdeal). Its
-    keys: the up-masks of the built survey ("up",) (see `ideals_above`);
-    the decompositions `verify` asks for ("dec", v); once per subring, the
-    position pairs of semiprime ideals whose meet is not semiprime
-    ("T2.12 pairs",); and the ideals `LIdeal._of` validated before the
-    survey was built ("ideal", v)."""
-    memo = mu._memo
-    if memo is None:
-        memo = mu._memo = {}
-    try:
-        return memo[key]
-    except KeyError:
-        pass
-    out = memo[key] = compute(*args)
-    return out
-
-
 def ideals_above(eta: LIdeal) -> int:
     """Bitmask of the ideals of the built survey of eta's subring that
     contain eta: bit l is set when ideal l does. It is the AND of the
-    subring's up-masks at eta's values (see the module docstring), kept on
+    survey's up-masks at eta's values (see the module docstring), kept on
     eta (`eta._above`)."""
     row = eta._above
     if row is None:
-        up = subring_memo(eta.parent, ("up",), _up_masks, eta.parent)
+        up = eta.parent._survey.up_masks
         row = eta._above = reduce(and_, map(getitem, up, eta.ivalues))
     return row
-
-
-def _up_masks(mu: LSubring) -> tuple[tuple[int, ...], ...]:
-    """up[x][a]: the bitmask of the ideals v of mu's built survey with
-    a <= v(x), for every ring index x and lattice index a."""
-    ideals = mu._survey.ideals
-    leq = mu.lattice._leq
-    above = [[b for b, ok in enumerate(row) if ok] for row in leq]
-    up = []
-    for x in range(len(mu.ring)):
-        at = [0] * len(leq)  # the ideals v with v(x) = b, at b
-        for k, v in enumerate(ideals):
-            at[v.ivalues[x]] |= 1 << k
-        up.append(tuple(reduce(or_, map(at.__getitem__, bs)) for bs in above))
-    return tuple(up)
 
 
 def sum_subsets(f: LSubset, g: LSubset) -> LSubset:

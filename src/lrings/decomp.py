@@ -12,8 +12,10 @@ element and dropping factors whose cut fills the subring yields a crisp
 primary decomposition of the cut, which also powers the crisp-via-lift
 bridge and the reducedness transfer.
 
-Nothing here takes a candidate cap: the reducedness report reads prime
-radicals, which build a missing ideal survey with the default cap.
+Nothing here takes a candidate cap: `decompose` reads the subring's ideal
+survey, and builds a missing one with the default cap, as the prime
+radicals that the reducedness report reads do. Each ideal keeps its
+decomposition (`_dec`), never a failure.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, Sequence
 from .errors import ConsistencyError
 from .core import (LIdeal, LSubring, ValidationError, intersect_many,
                    level_cut, level_subring, strong_cut, strong_subring)
-from .radical import is_primary, prime_radical
+from .radical import ideal_survey, is_primary, prime_radical
 from .rings import Subring
 
 
@@ -158,22 +160,24 @@ def decompose(eta: LIdeal) -> Decomposition:
     every crisp factor is lifted to the value pair (top image value,
     t_next); that subring's search is exhaustive, so when it finds
     nothing NoCrispDecomposition is raised. Factor order: level index
-    ascending, then crisp oracle order."""
+    ascending, then crisp oracle order. The subring's survey is built
+    first, so every lift and the factors' meet are survey entries; eta
+    keeps the decomposition (`eta._dec`), never a failure."""
+    if eta._dec is not None:
+        return eta._dec
     mu = eta.parent
     lat = eta.lattice
     _require_chain(lat, "primary decomposition")
     if eta.ivalues == mu.ivalues:
         raise DecompositionError(
             "the whole L-subring has no primary decomposition")
+    ideal_survey(mu)
 
     levels = sorted(eta.image(), key=lambda a: lat._rank[lat.index(a)],
                     reverse=True)
-    if len(levels) == 1:
-        # a constant proper ideal is itself primary
-        return Decomposition(eta, [eta])
-
     top_value = levels[0]
-    factors = []
+    # a constant proper ideal is itself primary
+    factors = [eta] if len(levels) == 1 else []
     for i in range(len(levels) - 1):
         t_next = levels[i + 1]
         carrier = strong_subring(mu, t_next)
@@ -190,7 +194,8 @@ def decompose(eta: LIdeal) -> Decomposition:
                 level=t_next)
         for J in crisp:
             factors.append(lift_crisp_primary(J, t_next, top_value, mu))
-    return Decomposition(eta, factors)
+    eta._dec = Decomposition(eta, factors)
+    return eta._dec
 
 
 def reduce_factors(dec: Decomposition) -> Decomposition:

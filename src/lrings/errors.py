@@ -7,8 +7,8 @@ class CapExceeded(RuntimeError):
     the values it has tried; each stops at the first one over the cap.
     The level-cut search runs when an ideal survey is built and when
     `verify --mu all` lists the L-subrings; a built survey is never
-    refused. A crisp decomposition search counts the ideals it would
-    combine. `size` is the count that passed the cap."""
+    refused. A crisp decomposition search counts every ideal of the
+    subring it searches. `size` is the count that passed the cap."""
 
     def __init__(self, message, size=None):
         super().__init__(message)

@@ -26,7 +26,8 @@ Where each fact lives:
   the ideal itself (`_prime`, `_semiprime`, `_primary`, `_rad`, `_prad`,
   `_srad`; see core.LIdeal), filled on first request and read there
   inline after that;
-- the survey itself on the subring (`mu._survey`).
+- the survey on the subring (`mu._survey`), and what is about all of
+  its ideals on the survey (see IdealSurvey).
 A failure is never kept: a primary disagreement or a family meet that
 fails its check raises again on every request.
 
@@ -35,15 +36,19 @@ and of the ring's product and power tables, looked up outside the inner
 loop. Each family meet is checked once, when it is met: a prime radical
 agrees with eta at zero, and a semiprime radical equals the pointwise
 radical (S = rad, proved in the README). Only the prime and semiprime
-radicals build a survey; the pointwise radical, cuts, sums and predicates
-never do. The candidate cap is taken by `ideal_survey` alone and bounds
-the cut assignments its search tries; a cached survey is never refused, so
-a caller that wants a cap builds the survey with it first.
+radicals and `decomp.decompose` build a survey; the pointwise radical,
+cuts, sums and predicates never do. The candidate cap is taken by
+`ideal_survey` alone and bounds the cut assignments its search tries; a
+cached survey is never refused, so a caller that wants a cap builds the
+survey with it first.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from operator import or_
 
 from .errors import ConsistencyError
 from .core import (LIdeal, LSubring, LSubset, ValidationError, cuts,
@@ -209,15 +214,39 @@ class IdealSurvey:
 
     `index` maps each ideal's values to its position; an LIdeal whose values
     are in it skips validation, since both characterizations already agreed
-    on them. What is asked of the ideals later is kept on each ideal (see
-    core.LIdeal), and the survey's up-masks in the subring's memo
-    (`core.subring_memo`)."""
+    on them. What is asked of one ideal later is kept on that ideal (see
+    core.LIdeal); the up-masks and T2.12's pairs are kept here, each built
+    on its first request, never by the survey build."""
     ideals: tuple[LIdeal, ...]
     index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "index", {v.ivalues: k for k, v
                                            in enumerate(self.ideals)})
+
+    @cached_property
+    def up_masks(self) -> tuple[tuple[int, ...], ...]:
+        """up[x][a]: the bitmask of the surveyed ideals v with a <= v(x),
+        for every ring index x and lattice index a (see core.ideals_above)."""
+        leq = self.ideals[0].lattice._leq
+        above = [[b for b, ok in enumerate(row) if ok] for row in leq]
+        up = []
+        for x in range(len(self.ideals[0].ring)):
+            at = [0] * len(leq)  # the ideals v with v(x) = b, at b
+            for k, v in enumerate(self.ideals):
+                at[v.ivalues[x]] |= 1 << k
+            up.append(tuple(reduce(or_, map(at.__getitem__, bs))
+                            for bs in above))
+        return tuple(up)
+
+    @cached_property
+    def non_semiprime_meets(self) -> frozenset[tuple[int, int]]:
+        """The pairs (as positions, in survey order) of semiprime ideals
+        whose meet is not semiprime."""
+        semiprime = [v for v in self.ideals if is_semiprime(v)]
+        return frozenset((a._pos, b._pos)
+                         for a, b in itertools.combinations(semiprime, 2)
+                         if not is_semiprime(intersect_many([a, b])))
 
 
 def ideal_survey(mu: LSubring, cap: int = DEFAULT_CANDIDATE_CAP) -> IdealSurvey:

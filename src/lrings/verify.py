@@ -18,7 +18,8 @@ parameters and seed.
 
 The candidate cap is spent only by instance generation (listing the
 L-subrings and building their ideal surveys) and by T1.7's inequality
-search. The subring memo also keeps each decomposition, never a failure.
+search. Each ideal keeps its decomposition, never a failure, so T3.5,
+T3.9 and T3.16 share one.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from .rings import DECOMPOSITION_IDEAL_CAP, RingError, Subring, make_ring
 from .core import (LIdeal, LSubring, LSubset, ValidationError, cuts,
                    ideal_inequality_search, intersect_many, level_cut_search,
                    level_subring, level_cuts_all_ideals,
-                   satisfies_ideal_inequalities, strong_subring, subring_memo,
-                   sum_ideals)
+                   satisfies_ideal_inequalities, strong_subring, sum_ideals)
 from .radical import (DEFAULT_CANDIDATE_CAP, enumerate_family, ideal_survey,
                       is_primary, is_prime, is_semiprime, prime_radical,
                       radical, semiprime_radical)
@@ -312,10 +312,10 @@ def _gate_radical_proper(inst):
 # checkers; return None on pass, a detail string on failure
 
 def _decompose(eta):
-    """decompose(eta), kept in the memo of eta's subring; a failure is not
-    stored, so every request raises it again, as a skip."""
+    """decompose(eta), which eta keeps; a failure is not kept, so every
+    request raises it again, as a skip."""
     try:
-        return subring_memo(eta.parent, ("dec", eta.ivalues), decompose, eta)
+        return decompose(eta)
     except NoCrispDecomposition as e:
         raise SkipCheck(f"no crisp decomposition (level {e.level!r})")
     except DecompositionError as e:
@@ -435,22 +435,12 @@ def _check_t2_12(inst, params):
         return None
     # the meet of the whole family is S(eta), kept on eta
     if is_semiprime(semiprime_radical(eta)):
-        # each pair is met once per subring, in the subring memo too
-        bad = subring_memo(inst.mu, ("T2.12 pairs",), _non_semiprime_meets,
-                           inst.mu)
+        # each pair is met once per subring, kept on the survey
+        bad = ideal_survey(inst.mu).non_semiprime_meets
         if not bad or not any((a._pos, b._pos) in bad for a, b
                               in itertools.combinations(members, 2)):
             return None
     return "an intersection of semiprime ideals is not semiprime"
-
-
-def _non_semiprime_meets(mu):
-    """The pairs (as positions, in survey order) of semiprime ideals of mu
-    whose meet is not semiprime."""
-    semiprime = [v for v in ideal_survey(mu).ideals if is_semiprime(v)]
-    return frozenset((a._pos, b._pos)
-                     for a, b in itertools.combinations(semiprime, 2)
-                     if not is_semiprime(intersect_many([a, b])))
 
 
 def _check_t2_13(inst, params):

@@ -30,6 +30,26 @@ def test_validate_z4(capsys):
     assert "eta_even: ideal=yes prime=yes semiprime=yes primary=yes" in out
 
 
+def test_validate_reports_a_subset_equal_to_mu(tmp_path, capsys):
+    # only the subset chosen as mu is left out: z4_chain3.json has no "mu"
+    # key, so mu is the constant top, and eta_full, equal to it, is reported
+    code, out, _ = run(capsys, "validate", Z4)
+    assert code == 0
+    assert out.endswith(
+        "eta_full: ideal=yes prime=no semiprime=no primary=no\n")
+    doc = {"lattice": "chain2", "ring": "Z2", "mu": "whole",
+           "subsets": {"whole": {"0": "t", "1": "t"},
+                       "same": {"0": "t", "1": "t"},
+                       "mu": {"0": "t", "1": "b"}}}
+    f = tmp_path / "named.json"
+    f.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(f))
+    assert code == 0
+    assert out.splitlines()[3:] == [
+        "same: ideal=yes prime=no semiprime=no primary=no",
+        "mu: ideal=yes prime=yes semiprime=yes primary=yes"]
+
+
 def test_validate_square_classification(capsys):
     code, out, _ = run(capsys, "validate", SQUARE)
     assert code == 0
@@ -89,26 +109,55 @@ GOOD_DOC = {"lattice": "chain2", "ring": "Z2",
             "subsets": {"eta": {"0": "t", "1": "b"}}}
 
 
-@pytest.mark.parametrize("change", [
-    {"subsets": {"eta": 7}},
-    {"subsets": {"eta": "tb"}},
-    {"subsets": ["eta"]},
-    {"mu": ["eta"]},
-    {"ring": {"zn": "x"}},
-    {"ring": {"product": []}},
-    {"ring": {"elements": ["0"], "add": 3, "mul": [["0"]]}},
-    {"lattice": {"chain": 5}},
-    {"lattice": "chainx"},
-    {"subsets": {"eta": {"0": ["t"], "1": "b"}}},
-    {"subsets": {"eta": ["t"]}},
+TABLE_2 = [["0", "0"], ["0", "0"]]
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"subsets": {"eta": 7}}, "values must be a mapping or a list, not 7"),
+    ({"subsets": {"eta": "tb"}},
+     "values must be a mapping or a list, not 'tb'"),
+    ({"subsets": ["eta"]}, "the 'subsets' key must map names to values"),
+    ({"mu": ["eta"]},
+     "designated subring ['eta'] is not among the named subsets"),
+    ({"ring": {"zn": "x"}}, "cannot interpret ring description {'zn': 'x'}: "
+                            "invalid literal for int() with base 10: 'x'"),
+    ({"ring": {"product": []}}, "cannot interpret ring description "
+                                "{'product': []}: list index out of range"),
+    ({"ring": {"elements": ["0"], "add": 3, "mul": [["0"]]}},
+     "cannot interpret ring description {'elements': ['0'], 'add': 3, "
+     "'mul': [['0']]}: object of type 'int' has no len()"),
+    ({"lattice": {"chain": 5}}, "cannot interpret lattice description "
+                                "{'chain': 5}: 'int' object is not iterable"),
+    ({"lattice": "chainx"}, "cannot interpret lattice description 'chainx': "
+                            "invalid literal for int() with base 10: 'x'"),
+    ({"subsets": {"eta": {"0": ["t"], "1": "b"}}},
+     "unknown lattice element ['t']"),
+    ({"subsets": {"eta": ["t"]}}, "expected 2 values, got 1"),
+    ({"lattice": {"chain": ["b", "b"]}}, "duplicate element labels"),
+    ({"lattice": {"elements": [], "leq": []}}, "empty carrier"),
+    ({"lattice": "chain0"}, "chain size must be >= 1"),
+    ({"lattice": {"order": []}},
+     "cannot interpret lattice description {'order': []}"),
+    ({"ring": {"elements": ["0", "0"], "add": TABLE_2, "mul": TABLE_2}},
+     "duplicate element labels"),
+    ({"ring": {"elements": [], "add": [], "mul": []}}, "empty carrier"),
+    ({"ring": {"elements": ["0", "1"], "add": [["0", "1"]], "mul": TABLE_2}},
+     "add table must be 2x2"),
+    ({"ring": {"elements": ["0", "1"], "add": [["0", "1"], ["1", "2"]],
+               "mul": TABLE_2}}, "add table contains unknown label '2'"),
+    ({"ring": "Q4"}, "cannot interpret ring name 'Q4'"),
+    ({"ring": {"order": 4}}, "cannot interpret ring description {'order': 4}"),
 ], ids=["subset-int", "subset-str", "subsets-list", "mu-list", "zn-str", "empty-product",
-        "table-int", "chain-int", "chain-name", "value-list", "list-too-short"])
-def test_malformed_instance_exits_1(tmp_path, capsys, change):
+        "table-int", "chain-int", "chain-name", "value-list", "list-too-short",
+        "lattice-duplicate", "lattice-empty", "chain0", "lattice-unknown-keys",
+        "ring-duplicate", "ring-empty", "table-shape", "table-unknown-label",
+        "ring-name", "ring-unknown-keys"])
+def test_malformed_instance_exits_1(tmp_path, capsys, change, message):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps({**GOOD_DOC, **change}))
-    code, _, err = run(capsys, "validate", str(f))
+    code, out, err = run(capsys, "validate", str(f))
     assert code == 1
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == "" and err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("doc", [
@@ -325,22 +374,16 @@ CAP_1_ERR = ("unavailable: level-cut search tried more than 1 cut "
              "assignments (try smaller carriers or raise --cap)\n")
 
 
-@pytest.mark.parametrize("target", ["prime-radical", "semiprime-radical"])
-def test_compute_family_radical_cap_bounds_the_survey(target, capsys):
-    code, out, err = run(capsys, "compute", Z4, target, "eta_zero",
-                         "--cap", "1")
+@pytest.mark.parametrize("argv", [
+    ["compute", Z4, "prime-radical", "eta_zero"],
+    ["compute", Z4, "semiprime-radical", "eta_zero"],
+    # decompose builds the survey before it prints any factor
+    ["decompose", Z6, "eta_zero"],
+], ids=["prime-radical", "semiprime-radical", "decompose"])
+def test_compute_family_radical_cap_bounds_the_survey(argv, capsys):
+    code, out, err = run(capsys, *argv, "--cap", "1")
     assert code == 2
     assert out == "" and err == CAP_1_ERR
-
-
-def test_decompose_cap_bounds_the_survey_after_the_factors(capsys):
-    # the factors are built and printed; the reducedness report is the
-    # first to need the survey
-    code, out, err = run(capsys, "decompose", Z6, "eta_zero", "--cap", "1")
-    assert code == 2
-    assert out.startswith("factors (2):\n")
-    assert "reduced" not in out
-    assert err == CAP_1_ERR
 
 
 def test_compute_radical_ignores_the_cap(capsys):
@@ -370,6 +413,17 @@ def test_verify_report_in_a_missing_directory_fails_before_the_run(
     assert out == ""  # no check ran, so no verdict was printed
     assert err.startswith("error: --report: ") and "does not exist" in err
     assert not report.parent.exists()
+
+
+def test_verify_empty_report_path_is_a_usage_error(tmp_path, capsys,
+                                                  monkeypatch):
+    # an unset shell variable must not turn the report off without a word
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify", "--rings", "Z4", "--lattices",
+                         "chain2", "--report", "")
+    assert code == 1
+    assert out == "" and err == "error: --report: the path is empty\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("extra", [[], ["--mu", "all", "--lattices", "m3",

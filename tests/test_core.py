@@ -152,7 +152,7 @@ def test_cut_tables_live_in_the_survey_memo(z4_ring, chain3, monkeypatch):
                         lambda f: built.append(f) or cuts_of(f))
     mu = LSubring.constant_top(z4_ring, chain3)
     survey = ideal_survey(mu)
-    assert built == [mu, *survey.ideals] and mu._memo is None
+    assert built == [mu, *survey.ideals]
     for eta in survey.ideals:
         table = eta._cuts
         cut = strong_cut(eta, "m")
@@ -186,31 +186,37 @@ def test_cut_tables_are_kept_before_any_survey(z4_ring, chain3, monkeypatch):
             x for x in z4_ring.elements if chain3.leq(a, eta.value(x)))
         strong_cut(eta, a)
     assert built == [eta, mu]
-    assert mu._survey is None and mu._memo is None
+    assert mu._survey is None
 
 
 def test_derived_ideals_are_validated_once_before_any_survey(monkeypatch):
     # decomposing every ideal of an unsurveyed subring meets, lifts and
-    # slices the same values again and again; LIdeal._of keeps each ideal
-    # it validated, so each value set passes both characterizations once
+    # slices the same values again and again; the first decomposition
+    # builds the survey, so from then on each derived ideal is a survey
+    # entry and each value set passes both characterizations once, in the
+    # survey build
     core = importlib.import_module("lrings.core")
+    mu = LSubring.constant_top(make_ring("Z30"), make_lattice("chain4"))
+    values = ideal_inequality_search(mu, DEFAULT_CANDIDATE_CAP)
+    assert len(values) == 100
+    first = LIdeal._of(mu, values[0])  # validated by its constructor
     validated = Counter()
     by_both = core.is_ideal_of
     monkeypatch.setattr(core, "is_ideal_of", lambda nu, mu: validated.update(
         [nu.ivalues]) or by_both(nu, mu))
-    mu = LSubring.constant_top(make_ring("Z30"), make_lattice("chain4"))
-    values = ideal_inequality_search(mu, DEFAULT_CANDIDATE_CAP)
-    assert len(values) == 100
-    for v in values:
+    decompose(first)
+    survey = mu._survey
+    assert survey is not None
+    for v in values[1:]:
         eta = LIdeal._of(mu, v)
-        assert LIdeal._of(mu, v) is eta
+        assert eta is survey.ideals[survey.index[v]]
         try:
             decompose(eta)
         except DecompositionError:  # mu itself
             assert v == mu.ivalues
-    assert mu._survey is None
-    assert set(validated) == set(values)  # 487 calls before the memo
-    assert max(validated.values()) == 1
+    assert mu._survey is survey
+    assert set(validated) == set(values)  # 487 calls with neither survey
+    assert max(validated.values()) == 1  # nor a store of derived ideals
 
 
 def test_a_cut_that_is_not_a_subring_is_never_kept(m3):

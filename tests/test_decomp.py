@@ -277,6 +277,14 @@ def test_bridge_matches_direct_oracle():
             assert set(bridged) == set(direct)
 
 
+def test_bridge_needs_two_levels():
+    ring = make_ring("Z6")
+    with pytest.raises(DecompositionError,
+                       match="^need a chain with at least two elements$"):
+        decompose_crisp_via_lift({"0"}, Subring.whole(ring),
+                                 make_lattice("chain1"))
+
+
 def test_bridge_rejects_improper(z6_setup):
     ring = make_ring("Z6")
     with pytest.raises(ValidationError, match="proper"):

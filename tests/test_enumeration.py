@@ -734,13 +734,15 @@ def test_up_mask_rows_and_families_match_pointwise_forms(spec, lat_name):
 
 
 FACT_SLOTS = ("_cuts", "_rad", "_prad", "_srad", "_prime", "_semiprime",
-              "_primary", "_above", "_sums", "_meets")
+              "_primary", "_dec", "_above", "_sums", "_meets")
+SURVEY_FACTS = ("up_masks", "non_semiprime_meets")
 
 
 def facts(mu):
     """Every fact the ideals of mu's survey answer, as values."""
-    ideals = ideal_survey(mu).ideals
-    out = []
+    survey = ideal_survey(mu)
+    ideals = survey.ideals
+    out = [survey.non_semiprime_meets]
     for a in ideals:
         out.append((cuts(a), cuts(a, strong=True), ideals_above(a),
                      radical(a).ivalues, prime_radical(a).ivalues,
@@ -760,8 +762,8 @@ def facts(mu):
                                             ("Z2xZ2", "square")])
 def test_cleared_facts_come_back_the_same(spec, lat_name):
     # what an entry keeps is only ever a result: with every kept fact of
-    # every entry and the subring's memo cleared, each is asked again and
-    # comes back equal
+    # every entry and of the survey cleared, each is asked again and comes
+    # back equal
     ring, lat = make_ring(spec), make_lattice(lat_name)
     for mu in _enumerate_mus(ring, lat, ALL_MUS):
         first = facts(mu)
@@ -771,7 +773,8 @@ def test_cleared_facts_come_back_the_same(spec, lat_name):
         for v in mu._survey.ideals:
             for slot in FACT_SLOTS:
                 setattr(v, slot, None)
-        mu._memo = None
+        for name in SURVEY_FACTS:
+            vars(mu._survey).pop(name, None)
         assert facts(mu) == first
 
 

@@ -172,7 +172,8 @@ def test_cached_survey_is_never_refused():
 def test_survey_build_classifies_nothing(monkeypatch):
     # the predicates answer on first request and keep the verdict on the
     # ideal, so a build decides no ideal's primality (it keeps only the cut
-    # tables it reads, on each ideal) and a repeat asks nothing again
+    # tables it reads, on each ideal), computes neither the up-masks nor
+    # T2.12's pairs, and a repeat asks nothing again
     radical_mod = importlib.import_module("lrings.radical")
     calls = []
     by_def = radical_mod.primary_by_inequalities
@@ -180,12 +181,15 @@ def test_survey_build_classifies_nothing(monkeypatch):
                         lambda eta: calls.append(eta) or by_def(eta))
     fx = fixtures.z4_chain3()
     survey = ideal_survey(fx.mu)
-    assert calls == [] and fx.mu._memo is None
+    assert calls == []
+    assert not {"up_masks", "non_semiprime_meets"} & set(vars(survey))
     assert all((v._prime, v._semiprime, v._primary) == (None,) * 3
                and v._cuts is not None for v in survey.ideals)
     eta = survey.ideals[1]
     assert [is_primary(eta), is_primary(eta)] == [True, True]
     assert calls == [eta] and eta._primary is True
+    enumerate_family(eta, "semiprime")  # reads eta's row of the ideals above
+    assert set(vars(survey)) == {"ideals", "index", "up_masks"}
 
 
 def test_survey_canonical_order(z4_setup):

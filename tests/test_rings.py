@@ -144,6 +144,11 @@ def test_zero_ring_needs_n_ge_1():
         FiniteRing.zn(0)
 
 
+def test_unknown_element_label_rejected():
+    with pytest.raises(RingError, match="^unknown ring element 'x'$"):
+        make_ring("Z4").index("x")
+
+
 def test_subring_closure_error():
     z4 = make_ring("Z4")
     with pytest.raises(RingError, match="subtraction"):

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 from collections import Counter
@@ -202,7 +203,10 @@ def test_t2_12_fails_exactly_where_a_rejected_meet_is_asked_for(monkeypatch):
 
     def patched(eta):
         return (eta.parent.ivalues, eta.ivalues) != target and is_semiprime(eta)
+    # T2.12 asks S(eta) in verify, and the survey's pair set in radical
     monkeypatch.setattr("lrings.verify.is_semiprime", patched)
+    monkeypatch.setattr(importlib.import_module("lrings.radical"),
+                        "is_semiprime", patched)
 
     def inline(eta):
         members = enumerate_family(eta, "semiprime")
@@ -230,6 +234,12 @@ def test_suite_empty_ids():
 def test_suite_unknown_ids():
     with pytest.raises(ValueError, match="T0.0"):
         run_suite(params(), ids=["T0.0"])
+
+
+def test_suite_unknown_mu_mode():
+    with pytest.raises(ValueError, match="^mu_mode must be 'top' or 'all', "
+                                         "not 'bogus'$"):
+        run_suite(params(mu_mode="bogus"))
 
 
 def test_suite_all_green_on_small_carriers():
