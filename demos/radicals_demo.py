@@ -7,8 +7,8 @@ radical, and shows the capped prime ideal that witnesses Q_eta != {}.
 """
 
 from lrings import (LIdeal, enumerate_family, ideal_survey, is_primary,
-                    is_prime, is_semiprime, prime_cap, prime_radical,
-                    radical, semiprime_radical)
+                    is_prime, is_semiprime, prime_radical, radical,
+                    semiprime_radical)
 from lrings.fixtures import z4_chain3
 
 
@@ -45,4 +45,7 @@ for member in enumerate_family(eta, "prime"):
 low = LIdeal(mu, ["m", "m", "m", "m"])
 print("\nan ideal sitting strictly below mu at zero admits the capped prime:")
 show("eta'", low)
-show("prime cap", prime_cap(low))
+# x -> mu(x) ^ eta'(0): a prime ideal of mu above eta'
+cap = LIdeal(mu, [mu.lattice.meet(v, low.zero_value()) for v in mu.values])
+assert is_prime(cap) and cap.contains(low)
+show("prime cap", cap)

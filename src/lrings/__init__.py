@@ -14,12 +14,11 @@ from .core import (LIdeal, LSubring, LSubset, ValidationError,
                    level_subring, strong_cut, strong_subring, sum_ideals,
                    sum_subsets)
 from .radical import (IdealSurvey, enumerate_family, ideal_survey,
-                      is_primary, is_prime, is_semiprime, prime_cap,
-                      prime_radical, radical, semiprime_radical)
+                      is_primary, is_prime, is_semiprime, prime_radical,
+                      radical, semiprime_radical)
 from .decomp import (Decomposition, DecompositionError, NoCrispDecomposition,
-                     ReducednessReport, decompose, decompose_crisp_via_lift,
-                     lift_crisp_primary, lift_reducedness, project_level,
-                     reduce_factors)
+                     decompose, lift_crisp_primary, lift_reducedness,
+                     project_level, reduce_factors)
 from . import fixtures, verify
 
 __all__ = [
@@ -31,11 +30,10 @@ __all__ = [
     "level_subring", "strong_cut", "strong_subring", "sum_ideals",
     "sum_subsets",
     "IdealSurvey", "enumerate_family", "ideal_survey",
-    "is_primary", "is_prime", "is_semiprime", "prime_cap", "prime_radical",
+    "is_primary", "is_prime", "is_semiprime", "prime_radical",
     "radical", "semiprime_radical",
     "Decomposition", "DecompositionError", "NoCrispDecomposition",
-    "ReducednessReport", "decompose", "decompose_crisp_via_lift",
-    "lift_crisp_primary", "lift_reducedness", "project_level",
+    "decompose", "lift_crisp_primary", "lift_reducedness", "project_level",
     "reduce_factors",
     "fixtures", "verify",
 ]

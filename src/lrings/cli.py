@@ -63,7 +63,7 @@ def load_instance_file(path):
         if not isinstance(mu_name, str) or mu_name not in subsets:
             raise _UsageError(f"designated subring {mu_name!r} is not among "
                               "the named subsets")
-        mu = LSubring(ring, lat, subsets[mu_name].values)
+        mu = LSubring(ring, lat, ivalues=subsets[mu_name].ivalues)
     else:
         mu = LSubring.constant_top(ring, lat)
     return lat, ring, mu, subsets, mu_name
@@ -81,7 +81,7 @@ def _print_cut(ring, cut) -> str:
 def _get_ideal(mu, subsets, name) -> LIdeal:
     if name not in subsets:
         raise _UsageError(f"no subset named {name!r} in the instance file")
-    return LIdeal(mu, subsets[name].values)
+    return LIdeal(mu, ivalues=subsets[name].ivalues)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,7 @@ def cmd_validate(args) -> int:
         if name == mu_name:
             continue
         try:
-            eta = LIdeal(mu, f.values)
+            eta = LIdeal(mu, ivalues=f.ivalues)
         except ValidationError as e:
             print(f"{name}: NOT an ideal ({e})")
             status = 1
@@ -143,17 +143,17 @@ def cmd_compute(args) -> int:
 def cmd_decompose(args) -> int:
     lat, ring, mu, subsets, _ = load_instance_file(args.file)
     eta = _get_ideal(mu, subsets, args.name)
-    ideal_survey(mu, cap=args.cap)  # decompose and its report read it
+    ideal_survey(mu, cap=args.cap)  # decompose and its reducedness read it
     dec = decompose(eta)
     print(f"factors ({len(dec.factors)}):")
     for i, f in enumerate(dec.factors):
         print(f"  {i}: {_print_subset(f)}")
     print("intersection equals the target: yes")
-    report = dec.report
-    print(f"reduced: {'yes' if report.reduced else 'no'}"
-          + ("" if report.reduced else f" ({report.describe()})"))
-    if args.require_reduced and not report.reduced:
-        print("error: --require-reduced set but the decomposition is not reduced")
+    print(f"reduced: {'yes' if dec.reduced else 'no'}"
+          + ("" if dec.reduced else f" ({dec.describe()})"))
+    if args.require_reduced and not dec.reduced:
+        print("error: --require-reduced set but the decomposition is not "
+              "reduced", file=sys.stderr)
         return 2
     return 0
 

@@ -76,15 +76,22 @@ class ValidationError(ValueError):
 
 
 class LSubset:
-    """Total map ring elements -> lattice elements, stored by index. `_cuts`
-    keeps its cut table (see `cuts`); `_survey` is filled only on an
-    L-subring."""
+    """Total map ring elements -> lattice elements, stored by index. It is
+    given either `values`, lattice labels as a mapping from ring elements
+    or a list in ring order, or `ivalues`, their lattice indices in ring
+    order, taken as they are. `_cuts` keeps its cut table (see `cuts`);
+    `_survey` is filled only on an L-subring."""
 
     __slots__ = ("ring", "lattice", "ivalues", "_survey", "_cuts")
 
-    def __init__(self, ring: FiniteRing, lattice: FiniteLattice, values):
+    def __init__(self, ring: FiniteRing, lattice: FiniteLattice, values=None,
+                 *, ivalues: Sequence[int] | None = None):
         self.ring = ring
         self.lattice = lattice
+        self._survey = self._cuts = None
+        if ivalues is not None:
+            self.ivalues = tuple(ivalues)
+            return
         if isinstance(values, Mapping):
             missing = [x for x in ring.elements if x not in values]
             if missing:
@@ -102,16 +109,6 @@ class LSubset:
             raise ValidationError(f"values must be a mapping or a list, "
                                   f"not {values!r}")
         self.ivalues = tuple(lattice.index(v) for v in seq)
-        self._survey = self._cuts = None
-
-    @classmethod
-    def _make(cls, ring, lattice, ivalues: tuple[int, ...]) -> "LSubset":
-        obj = object.__new__(cls)
-        obj.ring = ring
-        obj.lattice = lattice
-        obj.ivalues = tuple(ivalues)
-        obj._survey = obj._cuts = None
-        return obj
 
     def value(self, x: str) -> str:
         return self.lattice.elements[self.ivalues[self.ring.index(x)]]
@@ -272,12 +269,13 @@ def is_ideal_of(nu: LSubset, mu: "LSubring") -> bool:
 # validated wrappers
 
 class LSubring(LSubset):
-    """An LSubset validated as an L-subring."""
+    """An LSubset validated as an L-subring. Labels and index values (see
+    LSubset) reach the same checks."""
 
     __slots__ = ()
 
-    def __init__(self, ring, lattice, values):
-        super().__init__(ring, lattice, values)
+    def __init__(self, ring, lattice, values=None, *, ivalues=None):
+        super().__init__(ring, lattice, values, ivalues=ivalues)
         ok, pair = satisfies_subring_inequalities(self)
         if not ok:
             raise ValidationError(
@@ -288,11 +286,12 @@ class LSubring(LSubset):
 
     @classmethod
     def constant_top(cls, ring, lattice) -> "LSubring":
-        return cls(ring, lattice, {x: lattice.top for x in ring.elements})
+        return cls(ring, lattice, ivalues=(lattice._top,) * len(ring))
 
 
 class LIdeal(LSubset):
-    """An LSubset validated as an ideal of a given L-subring.
+    """An LSubset validated as an ideal of a given L-subring. Labels and
+    index values (see LSubset) reach the same checks.
 
     `_pos` is its position in the parent's built survey when the survey
     lists this very object (`parent._survey.ideals[eta._pos] is eta`), and
@@ -308,8 +307,8 @@ class LIdeal(LSubset):
                  "_semiprime", "_primary", "_dec", "_above", "_sums",
                  "_meets")
 
-    def __init__(self, parent: LSubring, values):
-        super().__init__(parent.ring, parent.lattice, values)
+    def __init__(self, parent: LSubring, values=None, *, ivalues=None):
+        super().__init__(parent.ring, parent.lattice, values, ivalues=ivalues)
         self.parent = parent
         self._pos = self._rad = self._prad = self._srad = None
         self._prime = self._semiprime = self._primary = self._dec = None
@@ -336,12 +335,7 @@ class LIdeal(LSubset):
         constructor, which validates them in full."""
         survey = parent._survey
         k = None if survey is None else survey.index.get(ivalues)
-        return cls._new(parent, ivalues) if k is None else survey.ideals[k]
-
-    @classmethod
-    def _new(cls, parent: LSubring, ivalues: tuple[int, ...]) -> "LIdeal":
-        els = parent.lattice.elements
-        return cls(parent, [els[i] for i in ivalues])
+        return cls(parent, ivalues=ivalues) if k is None else survey.ideals[k]
 
     def contains(self, other: LSubset) -> bool:
         """Pointwise other <= self; when self is a survey entry and other
@@ -520,7 +514,7 @@ def sum_subsets(f: LSubset, g: LSubset) -> LSubset:
         for fy, d in zip(fv, sub_x):
             acc = join[acc][meet[fy][gv[d]]]
         out.append(acc)
-    return LSubset._make(r, lat, tuple(out))
+    return LSubset(r, lat, ivalues=out)
 
 
 def sum_ideals(a: LIdeal, b: LIdeal) -> LIdeal:

@@ -9,24 +9,25 @@ exactly on every call.
 
 Level projection goes the other way: cutting a decomposition at a lattice
 element and dropping factors whose cut fills the subring yields a crisp
-primary decomposition of the cut, which also powers the crisp-via-lift
-bridge and the reducedness transfer.
+primary decomposition of the cut, which also powers the reducedness
+transfer.
 
 Nothing here takes a candidate cap: `decompose` reads the subring's ideal
 survey, and builds a missing one with the default cap, as the prime
-radicals that the reducedness report reads do. Each ideal keeps its
-decomposition (`_dec`), never a failure.
+radicals that a decomposition's reducedness evidence reads do. Each ideal
+keeps its decomposition (`_dec`), never a failure.
 """
 
 from __future__ import annotations
 
+import itertools
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError
 from .core import (LIdeal, LSubring, ValidationError, intersect_many,
                    level_cut, level_subring, strong_cut, strong_subring)
 from .radical import ideal_survey, is_primary, prime_radical
-from .rings import Subring
 
 
 class DecompositionError(RuntimeError):
@@ -46,17 +47,45 @@ def _require_chain(lat, what):
         raise DecompositionError(f"chain lattice required for {what}")
 
 
-# ---------------------------------------------------------------------------
-# reducedness
+class Decomposition:
+    """A target ideal together with primary factors whose meet is exactly
+    the target. Construction re-checks both facts. The reducedness
+    evidence (`redundant`, `collisions`) is computed on first request and
+    kept on the decomposition; a failure is never kept."""
 
-class ReducednessReport:
-    """Evidence for (ir)redundancy and radical distinctness of a factor
-    list: redundant factor indices and colliding prime-radical pairs."""
+    def __init__(self, target: LIdeal, factors: Sequence[LIdeal]):
+        if not factors:
+            raise DecompositionError("a decomposition needs at least one factor")
+        self.target = target
+        self.factors = tuple(factors)
+        for f in self.factors:
+            if not is_primary(f):
+                raise ValidationError(f"factor {f!r} is not primary")
+        if intersect_many(self.factors).ivalues != target.ivalues:
+            raise ValidationError("factors do not intersect to the target")
 
-    def __init__(self, redundant, collisions):
-        self.redundant = tuple(redundant)
-        self.collisions = tuple(collisions)
-        self.reduced = not self.redundant and not self.collisions
+    @cached_property
+    def redundant(self) -> tuple[int, ...]:
+        """Indices of the factors that contain the meet of the others."""
+        fs = self.factors
+        if len(fs) == 1:  # the meet of no others is the whole subring
+            return (0,) if fs[0].contains(self.target.parent) else ()
+        return tuple(i for i, f in enumerate(fs)
+                     if f.contains(intersect_many(fs[:i] + fs[i + 1:])))
+
+    @cached_property
+    def collisions(self) -> tuple[tuple[int, int], ...]:
+        """Index pairs of factors with equal prime radicals."""
+        radicals = [prime_radical(f).ivalues for f in self.factors]
+        return tuple((i, j) for i, j in
+                     itertools.combinations(range(len(radicals)), 2)
+                     if radicals[i] == radicals[j])
+
+    @property
+    def reduced(self) -> bool:
+        """No factor contains the meet of the others, and the factors'
+        prime radicals are pairwise distinct."""
+        return not self.redundant and not self.collisions
 
     def describe(self) -> str:
         if self.reduced:
@@ -69,51 +98,6 @@ class ReducednessReport:
             parts.append("equal prime radicals at "
                          + ", ".join(f"({i},{j})" for i, j in self.collisions))
         return "not reduced: " + "; ".join(parts)
-
-
-def reducedness_report(factors: Sequence[LIdeal]) -> ReducednessReport:
-    """A factor list is reduced when no factor contains the meet of the
-    others and the prime radicals of the factors are pairwise distinct."""
-    mu = factors[0].parent
-    redundant = []
-    for i, f in enumerate(factors):
-        others = [g for j, g in enumerate(factors) if j != i]
-        inter = intersect_many(others) if others else mu
-        if f.contains(inter):
-            redundant.append(i)
-    radicals = [prime_radical(f) for f in factors]
-    collisions = [(i, j)
-                  for i in range(len(radicals))
-                  for j in range(i + 1, len(radicals))
-                  if radicals[i].ivalues == radicals[j].ivalues]
-    return ReducednessReport(redundant, collisions)
-
-
-class Decomposition:
-    """A target ideal together with primary factors whose meet is exactly
-    the target. Construction re-checks both facts."""
-
-    def __init__(self, target: LIdeal, factors: Sequence[LIdeal]):
-        if not factors:
-            raise DecompositionError("a decomposition needs at least one factor")
-        self.target = target
-        self.factors = tuple(factors)
-        for f in self.factors:
-            if not is_primary(f):
-                raise ValidationError(f"factor {f!r} is not primary")
-        if intersect_many(self.factors).ivalues != target.ivalues:
-            raise ValidationError("factors do not intersect to the target")
-        self._report = None
-
-    @property
-    def report(self) -> ReducednessReport:
-        if self._report is None:
-            self._report = reducedness_report(self.factors)
-        return self._report
-
-    @property
-    def reduced(self) -> bool:
-        return self.report.reduced
 
     def __repr__(self):
         return (f"<Decomposition of {self.target!r}: {len(self.factors)} "
@@ -218,6 +202,19 @@ def reduce_factors(dec: Decomposition) -> Decomposition:
 # ---------------------------------------------------------------------------
 # level projection
 
+def _proper_cut(dec: Decomposition, t: str, cut_of) -> tuple:
+    """The target's and the subring's cuts at t (cut_of is level_cut or
+    strong_cut); DecompositionError unless the target's is a non-empty
+    proper part of the subring's."""
+    target_cut, mu_cut = cut_of(dec.target, t), cut_of(dec.target.parent, t)
+    if not target_cut:
+        raise DecompositionError(f"cut of the target at {t!r} is empty")
+    if target_cut == mu_cut:
+        raise DecompositionError(
+            f"cut of the target at {t!r} equals the subring's cut")
+    return target_cut, mu_cut
+
+
 def project_level(dec: Decomposition, t: str, strong: bool) -> list[frozenset]:
     """Cut every factor at t (strong or weak), drop factors whose cut fills
     the subring's cut, and return the surviving crisp primary ideals. Their
@@ -229,13 +226,7 @@ def project_level(dec: Decomposition, t: str, strong: bool) -> list[frozenset]:
         cut_of, subring_of = strong_cut, strong_subring
     else:
         cut_of, subring_of = level_cut, level_subring
-    target_cut = cut_of(dec.target, t)
-    mu_cut = cut_of(mu, t)
-    if not target_cut:
-        raise DecompositionError(f"cut of the target at {t!r} is empty")
-    if target_cut == mu_cut:
-        raise DecompositionError(
-            f"cut of the target at {t!r} equals the subring's cut")
+    target_cut, mu_cut = _proper_cut(dec, t, cut_of)
     carrier = subring_of(mu, t)
     survivors = []
     for f in dec.factors:
@@ -264,13 +255,7 @@ def lift_reducedness(dec: Decomposition, t: str) -> bool:
     reduced, the L-valued one must be reduced too; a disagreement is an
     internal error."""
     mu = dec.target.parent
-    target_cut = level_cut(dec.target, t)
-    mu_cut = level_cut(mu, t)
-    if not target_cut:
-        raise DecompositionError(f"cut of the target at {t!r} is empty")
-    if target_cut == mu_cut:
-        raise DecompositionError(
-            f"cut of the target at {t!r} equals the subring's cut")
+    _, mu_cut = _proper_cut(dec, t, level_cut)
     cuts = [level_cut(f, t) for f in dec.factors]
     dropped = [i for i, c in enumerate(cuts) if c == mu_cut]
     if dropped:
@@ -294,26 +279,3 @@ def lift_reducedness(dec: Decomposition, t: str) -> bool:
             "level decomposition is reduced but the lifted one is not")
     return crisp_reduced
 
-
-# ---------------------------------------------------------------------------
-# the crisp bridge
-
-def decompose_crisp_via_lift(I: Iterable[str], J: Subring,
-                             lattice) -> list[frozenset]:
-    """Primary decomposition of a crisp ideal I of a subring J, computed
-    the long way round: lift both to two-valued L-subsets (bottom outside,
-    top inside), decompose the lifted ideal, and project at top."""
-    _require_chain(lattice, "the two-valued bridge")
-    if len(lattice) < 2:
-        raise DecompositionError("need a chain with at least two elements")
-    ring = J.ring
-    I = frozenset(I)
-    idx = J._require_ideal(I)
-    if idx == J._members_i:
-        raise ValidationError("only proper ideals can be decomposed")
-    top, bot = lattice.top, lattice.bottom
-    mu = LSubring(ring, lattice,
-                  {x: (top if x in J.member_set else bot) for x in ring.elements})
-    eta = LIdeal(mu, {x: (top if x in I else bot) for x in ring.elements})
-    dec = decompose(eta)
-    return project_level(dec, top, strong=False)

@@ -196,7 +196,7 @@ def _radical(eta: LIdeal) -> LIdeal:
         for p in powers:
             acc = join[acc][meet_m[e[p]]]
         out.append(acc)
-    raw = LSubset._make(r, lat, tuple(out))
+    raw = LSubset(r, lat, ivalues=out)
     if not (mu.contains(raw) and raw.contains(eta)):
         raise ConsistencyError("radical escaped eta <= rad(eta) <= mu")
     try:
@@ -264,7 +264,7 @@ def ideal_survey(mu: LSubring, cap: int = DEFAULT_CANDIDATE_CAP) -> IdealSurvey:
         label = lat.elements[a]
         return level_subring(mu, label).ideals() if level_cut(mu, label) else []
 
-    ideals = tuple(LIdeal._new(mu, v)
+    ideals = tuple(LIdeal(mu, ivalues=v)
                    for v in level_cut_search(ring, lat, crisp_ideals, cap))
     for k, eta in enumerate(ideals):
         eta._pos = k
@@ -329,26 +329,3 @@ def semiprime_radical(eta: LIdeal) -> LIdeal:
         out = eta._srad = _family_meet(eta, "semiprime")
     return out
 
-
-# ---------------------------------------------------------------------------
-# the canonical prime ideal above an ideal with small zero value
-
-def prime_cap(eta: LIdeal) -> LIdeal:
-    """The prime ideal x -> mu(x) ^ eta(0), defined whenever eta's value at
-    zero sits strictly below the subring's. It contains eta, so it witnesses
-    that the prime family above eta is non-empty."""
-    mu = eta.parent
-    lat = eta.lattice
-    z = eta.zero_value()
-    mz = mu.lattice.elements[mu.ivalues[mu.ring.zero_i]]
-    if not lat.lt(z, mz):
-        raise ValidationError(
-            f"requires eta(0) strictly below mu(0); got {z} vs {mz}")
-    zi = lat.index(z)
-    meet = lat.meet_i
-    xi = LIdeal._of(mu, tuple(meet(v, zi) for v in mu.ivalues))
-    if not xi.contains(eta):
-        raise ConsistencyError("capped subring does not contain eta")
-    if not is_prime(xi):
-        raise ConsistencyError("capped subring failed the prime test")
-    return xi

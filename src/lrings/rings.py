@@ -6,7 +6,7 @@ construction, a whole table row per step: for each pair (i, j) the three
 laws over every k are three tuple comparisons, and a row that fails is
 scanned again entry by entry, so the first law to fail in (i, j, k) order
 is the one named. The Subring class carries the crisp oracle layer: ideal
-and subring enumeration, prime/primary tests, radicals, and minimal
+and subring enumeration, primary tests, radicals, and minimal
 primary decompositions, all decided exactly (power searches stop when the
 power sequence cycles, which it must in a finite ring). Ideals and
 subrings are generated as closures of generators, so their cost grows
@@ -20,7 +20,7 @@ span by the products of its generators until they fall inside it. Each
 closure is checked against the definition once, by whole-row subset
 tests, when the table is built; after that,
 "is I an ideal" is a lookup in the table, for is_ideal and for the ideal
-that a primality test, radical or decomposition is asked about, whose
+that a primary test, radical or decomposition is asked about, whose
 answers are kept beside the ideal in that table. A ring keeps each crisp
 subring it is asked for by member set (`FiniteRing.subring`), so equal
 cuts of all its L-subrings share one Subring and its tables.
@@ -343,15 +343,11 @@ class Subring:
             raise RingError(f"{sorted(I)} is not an ideal of {self!r}")
         return answers
 
-    def _require_ideal(self, I: Iterable[str]) -> frozenset:
-        self._answers(I)
-        return self._to_idx(I)
-
     def _answer(self, I: Iterable[str], key: str, compute):
         """compute(member indices of I), kept beside the ideal I in the
-        verified table under key ("prime", "primary", "radical" or
-        "decomposition"); a non-ideal and an error are never kept, so each
-        raises on every call."""
+        verified table under key ("primary", "radical" or "decomposition");
+        a non-ideal and an error are never kept, so each raises on every
+        call."""
         answers = self._answers(I)
         if key not in answers:
             answers[key] = compute(self._to_idx(I))
@@ -441,17 +437,6 @@ class Subring:
         """All subrings of this subring, in the order of ideals(). Found
         once per subring; each call returns a new list."""
         return list(self._closures(ideal=False))
-
-    def is_prime_ideal(self, I: Iterable[str]) -> bool:
-        """xy in I forces x in I or y in I; the whole subring is not prime."""
-        return self._answer(I, "prime", self._is_prime_i)
-
-    def _is_prime_i(self, idx: frozenset) -> bool:
-        if idx == self._members_i:
-            return False
-        mul, outside = self.ring._mul, self._members_i - idx
-        return all(idx.isdisjoint(map(mul[i].__getitem__, outside))
-                   for i in outside)
 
     def is_primary_ideal(self, I: Iterable[str]) -> bool:
         """xy in I forces x in I, or y in I, or x**n and y**m in I for some

@@ -152,9 +152,9 @@ def _enumerate_mus(ring, lat, params: SuiteParams) -> list[LSubring]:
     # an L-subset is an L-subring exactly when its non-empty level cuts
     # are crisp subrings
     subrings = Subring.whole(ring).subrings()
-    return [LSubring(ring, lat, [lat.elements[i] for i in v])
+    return [LSubring(ring, lat, ivalues=v)
             for v in level_cut_search(ring, lat, lambda a: subrings,
-                                          params.cap)]
+                                      params.cap)]
 
 
 class _Block(NamedTuple):
@@ -331,7 +331,7 @@ def _check_t1_7(inst, params):
     by_levels = set(ideal_survey(mu, cap=params.cap).index)
     rank = mu.lattice._rank
     for v in sorted(by_def | by_levels, key=lambda v: [rank[i] for i in v]):
-        cand = LSubset._make(mu.ring, mu.lattice, v)
+        cand = LSubset(mu.ring, mu.lattice, ivalues=v)
         ineq = v in by_def and satisfies_ideal_inequalities(cand, mu)
         levels = v in by_levels and level_cuts_all_ideals(cand, mu)
         if ineq != levels:

@@ -9,11 +9,10 @@ import time
 
 import pytest
 
-from lrings import (LSubring, NoCrispDecomposition, Subring,
-                    decompose, decompose_crisp_via_lift, ideal_survey,
-                    intersect_many, is_primary, level_cut,
-                    lift_reducedness, make_lattice, make_ring, prime_radical,
-                    radical, strong_cut)
+from lrings import (LIdeal, LSubring, NoCrispDecomposition, Subring,
+                    decompose, ideal_survey, intersect_many, is_primary,
+                    level_cut, lift_reducedness, make_lattice, make_ring,
+                    prime_radical, project_level, radical, strong_cut)
 from lrings.core import level_cuts_all_ideals, satisfies_ideal_inequalities
 from lrings.core import LSubset
 from lrings.radical import primary_by_inequalities, primary_by_level_cuts
@@ -102,7 +101,7 @@ def test_criterion_3_characterization_cross_checks():
         bot = lat.index(lat.bottom)
         digits = [lat.interval_i(bot, v) for v in mu.ivalues]
         for combo in itertools.product(*digits):
-            cand = LSubset._make(mu.ring, lat, combo)
+            cand = LSubset(mu.ring, lat, ivalues=combo)
             assert satisfies_ideal_inequalities(cand, mu) == \
                 level_cuts_all_ideals(cand, mu)
             candidate_checked += 1
@@ -149,7 +148,7 @@ def test_criterion_4_decomposition_round_trip(z6_setup, z12_setup):
 
     dec_b = decompose(z6_setup.ideal("eta_zero"))
     assert len(dec_b.factors) == 2
-    assert dec_b.report.reduced
+    assert dec_b.reduced
 
     eta3 = z12_setup.ideal("eta_three_level")
     dec3 = decompose(eta3)
@@ -160,22 +159,33 @@ def test_criterion_4_decomposition_round_trip(z6_setup, z12_setup):
 
 
 def test_criterion_5_crisp_oracle_equivalence():
+    # a proper crisp ideal I, lifted to the ideal of the constant-top
+    # subring over chain2 that is top on I and bottom elsewhere, decomposes
+    # into factors whose top cuts are the crisp oracle's decomposition of I
     lat = make_lattice("chain2")
-    compared = 0
+    found = {}
     for name in ("Z4", "Z6", "Z12", "Z2xZ2"):
         ring = make_ring(name)
         whole = Subring.whole(ring)
+        mu = LSubring.constant_top(ring, lat)
         for I in whole.ideals():
             if I == whole.member_set:
                 continue
+            eta = LIdeal(mu, {x: lat.top if x in I else lat.bottom
+                              for x in ring.elements})
+            lifted = project_level(decompose(eta), lat.top, strong=False)
             direct = whole.primary_decomposition(I)
-            bridged = decompose_crisp_via_lift(I, whole, lat)
             assert direct is not None
-            assert set(bridged) == set(direct)
-            compared += 1
-    assert compared == 13  # 2+3+5+3 proper ideals
-    print(f"\n[criterion 5] PASS: bridge matches the direct oracle on "
-          f"{compared} proper ideals (exact set equality)")
+            assert set(lifted) == set(direct)
+            found[name, I] = set(lifted)
+    assert len(found) == 13  # 2+3+5+3 proper ideals
+    zero = frozenset({"0"})
+    assert found["Z6", zero] == {frozenset({"0", "3"}),
+                                 frozenset({"0", "2", "4"})}
+    assert found["Z12", zero] == {frozenset({"0", "4", "8"}),
+                                  frozenset({"0", "3", "6", "9"})}
+    print(f"\n[criterion 5] PASS: lifted decompositions match the direct "
+          f"oracle on {len(found)} proper ideals (exact set equality)")
 
 
 def test_criterion_6_prime_radical_fixed_points(crit1_result, crit2_result):
@@ -221,7 +231,7 @@ def test_criterion_7_reducedness_lifting():
                         continue
                     # raises ConsistencyError on any disagreement
                     if lift_reducedness(dec, t):
-                        assert dec.report.reduced
+                        assert dec.reduced
                         transfers += 1
     assert transfers > 0
     print(f"\n[criterion 7] PASS: {transfers} reduced level decompositions "

@@ -246,9 +246,15 @@ def test_decompose_z12_not_reduced(capsys):
 
 
 def test_decompose_require_reduced(capsys):
-    code, out, _ = run(capsys, "decompose", Z12, "eta_three_level",
-                       "--require-reduced")
+    # the decomposition is printed in full; the refusal goes to stderr
+    code, out, err = run(capsys, "decompose", Z12, "eta_three_level",
+                         "--require-reduced")
     assert code == 2
+    assert out.splitlines()[-1] == (
+        "reduced: no (not reduced: redundant factor index(es) 1)")
+    assert "--require-reduced" not in out
+    assert err == ("error: --require-reduced set but the decomposition is "
+                   "not reduced\n")
 
 
 def test_decompose_non_chain(capsys):

@@ -3,13 +3,12 @@ import itertools
 
 import pytest
 
-from lrings import (Decomposition, DecompositionError,
+from lrings import (ConsistencyError, Decomposition, DecompositionError,
                     FiniteLattice, FiniteRing, LIdeal, LSubring,
-                    Subring, ValidationError, decompose,
-                    decompose_crisp_via_lift, ideal_survey, is_primary,
-                    level_cut, lift_crisp_primary,
-                    lift_reducedness, make_lattice, make_ring, project_level,
-                    reduce_factors, strong_cut)
+                    Subring, ValidationError, decompose, ideal_survey,
+                    is_primary, level_cut, lift_crisp_primary,
+                    lift_reducedness, project_level, reduce_factors,
+                    strong_cut)
 
 
 def indicator_values(ring, members, high="t", low="b"):
@@ -87,10 +86,9 @@ def test_decompose_three_levels(z12_setup):
     from lrings import intersect_many
     assert intersect_many(dec.factors).ivalues == eta.ivalues
     # the second lift is absorbed by the third: not reduced
-    report = dec.report
-    assert not report.reduced
-    assert report.redundant == (1,)
-    assert report.collisions == ()
+    assert not dec.reduced
+    assert dec.redundant == (1,)
+    assert dec.collisions == ()
 
 
 def test_reduce_factors_three_levels(z12_setup):
@@ -153,18 +151,34 @@ def test_decomposition_rejects_non_primary_factor(z6_setup):
 def test_reducedness_evidence_duplicate(z4_setup):
     eta2 = z4_setup.ideal("eta_even")
     dec = Decomposition(eta2, [eta2, eta2])
-    report = dec.report
-    assert not report.reduced
-    assert report.redundant == (0, 1)
-    assert report.collisions == ((0, 1),)
+    assert not dec.reduced
+    assert dec.redundant == (0, 1)
+    assert dec.collisions == ((0, 1),)
 
 
 def test_reducedness_evidence_absorbed_factor(z4_setup):
     eta0, eta2 = z4_setup.ideal("eta_zero"), z4_setup.ideal("eta_even")
     dec = Decomposition(eta0, [eta0, eta2])
-    report = dec.report
-    assert not report.reduced
-    assert 1 in report.redundant
+    assert not dec.reduced
+    assert 1 in dec.redundant
+
+
+def test_reducedness_evidence_is_kept_but_no_failure(z4_setup, monkeypatch):
+    import lrings.decomp as decomp
+    eta2 = z4_setup.ideal("eta_even")
+    dec = Decomposition(eta2, [eta2, eta2])
+
+    def broken(f):
+        raise ConsistencyError("prime radical changed the value at zero")
+    monkeypatch.setattr(decomp, "prime_radical", broken)
+    for _ in range(2):
+        with pytest.raises(ConsistencyError):
+            dec.collisions
+    monkeypatch.undo()
+    assert dec.describe() == ("not reduced: redundant factor index(es) 0, 1; "
+                              "equal prime radicals at (0,1)")
+    assert dec.redundant is dec.redundant
+    assert dec.collisions is dec.collisions
 
 
 # -- projection ----------------------------------------------------------------------
@@ -238,58 +252,6 @@ def test_lift_reducedness_rejects_dropped_factors(z12_setup):
     # at level m the two t/m-valued lifts cut to all of Z12
     with pytest.raises(DecompositionError, match="survive"):
         lift_reducedness(dec, "m")
-
-
-# -- the crisp bridge ---------------------------------------------------------------------
-
-def test_bridge_z6():
-    ring = make_ring("Z6")
-    lat = make_lattice("chain2")
-    out = decompose_crisp_via_lift({"0"}, Subring.whole(ring), lat)
-    assert set(out) == {frozenset({"0", "3"}), frozenset({"0", "2", "4"})}
-
-
-def test_bridge_proper_subring():
-    ring = make_ring("Z6")
-    lat = make_lattice("chain2")
-    sub = Subring(ring, {"0", "2", "4"})
-    assert decompose_crisp_via_lift({"0"}, sub, lat) == [frozenset({"0"})]
-
-
-def test_bridge_z12():
-    ring = make_ring("Z12")
-    lat = make_lattice("chain2")
-    out = decompose_crisp_via_lift({"0"}, Subring.whole(ring), lat)
-    assert set(out) == {frozenset({"0", "4", "8"}),
-                        frozenset({"0", "3", "6", "9"})}
-
-
-def test_bridge_matches_direct_oracle():
-    lat = make_lattice("chain2")
-    for name in ("Z4", "Z6", "Z12", "Z2xZ2"):
-        ring = make_ring(name)
-        whole = Subring.whole(ring)
-        for I in whole.ideals():
-            if I == whole.member_set:
-                continue
-            direct = whole.primary_decomposition(I)
-            bridged = decompose_crisp_via_lift(I, whole, lat)
-            assert set(bridged) == set(direct)
-
-
-def test_bridge_needs_two_levels():
-    ring = make_ring("Z6")
-    with pytest.raises(DecompositionError,
-                       match="^need a chain with at least two elements$"):
-        decompose_crisp_via_lift({"0"}, Subring.whole(ring),
-                                 make_lattice("chain1"))
-
-
-def test_bridge_rejects_improper(z6_setup):
-    ring = make_ring("Z6")
-    with pytest.raises(ValidationError, match="proper"):
-        decompose_crisp_via_lift(set(ring.elements), Subring.whole(ring),
-                                 make_lattice("chain2"))
 
 
 # -- strong-cut lemmas ----------------------------------------------------------------------

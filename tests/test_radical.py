@@ -6,8 +6,8 @@ from lrings import (CapExceeded, ConsistencyError, DecompositionError,
                     FiniteLattice, FiniteRing, LIdeal, LSubring,
                     ValidationError, decompose, enumerate_family, fixtures,
                     ideal_survey, intersect_many, is_primary, is_prime,
-                    is_semiprime, make_lattice, make_ring, prime_cap,
-                    prime_radical, radical, semiprime_radical, sum_ideals)
+                    is_semiprime, make_lattice, make_ring, prime_radical,
+                    radical, semiprime_radical, sum_ideals)
 from lrings.verify import Instance, SuiteParams, _enumerate_mus, check_theorem
 from lrings.radical import primary_by_inequalities, primary_by_level_cuts
 
@@ -276,6 +276,16 @@ def test_semiprime_radical_is_checked_against_the_radical(monkeypatch):
 
 # -- the capped prime ideal -------------------------------------------------------------
 
+def prime_cap(eta):
+    """x -> mu(x) ^ eta(0) as an entry of mu's survey; a KeyError when the
+    survey does not list it."""
+    mu = eta.parent
+    z = eta.ivalues[eta.ring.zero_i]
+    survey = ideal_survey(mu)
+    capped = tuple(mu.lattice.meet_i(v, z) for v in mu.ivalues)
+    return survey.ideals[survey.index[capped]]
+
+
 def test_prime_cap_on_two_level_subring(mu_two_level):
     eta = LIdeal(mu_two_level, ["m", "m", "m", "m"])
     xi = prime_cap(eta)
@@ -288,16 +298,34 @@ def test_prime_cap_constant_subring(z4_setup):
     assert prime_cap(eta).values == ("m",) * 4
 
 
-def test_prime_cap_requires_strict_drop(z4_setup):
-    with pytest.raises(ValidationError, match="strictly below"):
-        prime_cap(z4_setup.ideal("eta_zero"))  # eta(0) = t = mu(0)
-
-
 def test_prime_cap_prime_for_all_lowered_ideals(mu_two_level):
     mu = mu_two_level
     for eta in ideal_survey(mu).ideals:
         if mu.lattice.lt(eta.zero_value(), mu.value("0")):
             assert is_prime(prime_cap(eta))
+
+
+# ideals eta with eta(0) < mu(0), over every L-subring mu of the carrier
+LOWERED = {("Z6", "chain3"): 38, ("Z6", "m3"): 184,
+           ("Z2xZ2", "chain3"): 50, ("Z2xZ2", "m3"): 350}
+
+
+@pytest.mark.parametrize("rname", ["Z6", "Z2xZ2"])
+@pytest.mark.parametrize("lname", ["chain3", "m3"])
+def test_capped_subring_is_a_prime_above_each_lowered_ideal(rname, lname):
+    # when eta(0) < mu(0), x -> mu(x) ^ eta(0) is a survey entry, a prime
+    # ideal of mu, and contains eta, so the prime family above eta is not
+    # empty
+    ring, lat = make_ring(rname), make_lattice(lname)
+    checked = 0
+    for mu in _enumerate_mus(ring, lat, SuiteParams(mu_mode="all")):
+        for eta in ideal_survey(mu).ideals:
+            if lat.lt(eta.zero_value(), mu.values[ring.zero_i]):
+                xi = prime_cap(eta)
+                assert is_prime(xi)
+                assert xi.contains(eta)
+                checked += 1
+    assert checked == LOWERED[rname, lname]
 
 
 # -- the documented boundary case of "radical of primary is prime" -----------------------
@@ -350,9 +378,9 @@ def built(make):
 @pytest.mark.parametrize("lname", ["chain3", "m3"])
 def test_derived_ideals_are_the_surveys_own_objects(rname, lname,
                                                     monkeypatch):
-    # meets, sums, radicals, capped primes and decomposition factors of
-    # surveyed ideals come back as the survey's objects; values the survey
-    # does not list are refused exactly as the constructor refuses them
+    # meets, sums, radicals and decomposition factors of surveyed ideals
+    # come back as the survey's objects; values the survey does not list
+    # are refused exactly as the constructor refuses them
     ring, lat = make_ring(rname), make_lattice(lname)
     top = (lat.index(lat.top),) * len(ring)
     refused = 0
@@ -371,8 +399,6 @@ def test_derived_ideals_are_the_surveys_own_objects(rname, lname,
         for a in survey.ideals:
             assert own(radical(a))
             assert own(prime_radical(a)) and own(semiprime_radical(a))
-            if lat.lt(a.zero_value(), mu.values[mu.ring.zero_i]):
-                assert own(prime_cap(a))
             if lat.is_chain and a.ivalues != mu.ivalues:
                 try:
                     factors = decompose(a).factors
